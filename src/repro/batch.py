@@ -280,14 +280,30 @@ class BatchRunner:
         """Persist one result (no-op without a cache directory)."""
         if self.cache_dir is None:
             return
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = self._cache_path(spec)
         payload = {
             "version": FORMAT_VERSION,
             "spec": spec_to_dict(spec),
             "result": result_to_dict(result),
         }
-        data = json.dumps(payload).encode("utf-8")
+        self._cache_write(spec, json.dumps(payload).encode("utf-8"))
+
+    def cache_store_bytes(self, spec: RunSpec, result_json: bytes) -> None:
+        """Persist one result already encoded as a JSON document.
+
+        ``result_json`` (e.g. the serve daemon's canonical result bytes)
+        is spliced into the same entry layout :meth:`cache_store`
+        writes, so the entry is not decoded and re-encoded here.
+        """
+        if self.cache_dir is None:
+            return
+        head = json.dumps({"version": FORMAT_VERSION, "spec": spec_to_dict(spec)})
+        data = head[:-1].encode("utf-8") + b', "result": ' + result_json + b"}"
+        self._cache_write(spec, data)
+
+    def _cache_write(self, spec: RunSpec, data: bytes) -> None:
+        assert self.cache_dir is not None
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        path = self._cache_path(spec)
         # Chaos site: crash/delay/reset rules fire here (before any
         # bytes land); a torn_write rule hands back a truncated payload
         # that must reach the *final* path — emulating a writer that
@@ -503,7 +519,10 @@ class BatchRunner:
         — so the next death is attributed with certainty to the spec
         that caused it, and specs that merely shared the pool with the
         crasher are re-run rather than falsely failed.  Isolation
-        attempts are not charged against ``retries``.
+        attempts are not charged against ``retries``.  A pool that
+        breaks between ``wait()`` and the next ``submit()`` surfaces
+        from ``submit`` itself; that is handled like a broken future,
+        with the spec being submitted joining the in-flight suspects.
         """
         retries = self.retries if self.on_error == "retry" else 0
         queue: deque[RunSpec] = deque(pending)
@@ -514,20 +533,29 @@ class BatchRunner:
         futures: dict[Future, RunSpec] = {}
         try:
             while queue or isolating or futures:
-                if isolating:
-                    # Isolation mode: exactly one suspect in flight.
-                    if not futures:
-                        spec = isolating.popleft()
-                        futures[pool.submit(_execute, self._payload(spec))] = spec
-                else:
-                    while queue and len(futures) < window:
-                        spec = queue.popleft()
-                        futures[pool.submit(_execute, self._payload(spec))] = spec
+                broken: BrokenProcessPool | None = None
+                try:
+                    if isolating:
+                        # Isolation mode: exactly one suspect in flight.
+                        if not futures:
+                            spec = isolating.popleft()
+                            futures[pool.submit(_execute, self._payload(spec))] = spec
+                    else:
+                        while queue and len(futures) < window:
+                            spec = queue.popleft()
+                            futures[pool.submit(_execute, self._payload(spec))] = spec
+                except BrokenProcessPool as exc:
+                    # The pool broke after the last wait(): this spec never
+                    # reached it, so it is re-run in isolation, unblamed,
+                    # along with everything in flight (handled below).
+                    if self.on_error == "raise":
+                        raise
+                    isolating.appendleft(spec)
+                    broken = exc
                 done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
                 # A death is attributable only when its spec was provably
                 # alone in the pool (a lone in-flight future).
                 alone = len(futures) == 1
-                broken: BrokenProcessPool | None = None
                 first_error: BaseException | None = None
                 for future in done:
                     spec = futures.pop(future)

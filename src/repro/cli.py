@@ -227,7 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8642,
                        help="TCP port (0 binds an ephemeral port; default: 8642)")
     serve.add_argument("--max-workers", type=int, default=4,
-                       help="simulation worker threads (default: 4)")
+                       help="concurrent runs, each in its own simulation worker "
+                            "process; workers start on the first job and are "
+                            "reused (default: 4)")
     serve.add_argument("--slice-events", type=int, default=20_000,
                        help="events per cooperative run_for slice (default: 20000)")
     serve.add_argument("--max-inflight", type=int, default=4,

@@ -3,9 +3,10 @@
 The package turns runs into requests: :class:`~repro.serve.server.ReproServer`
 is an asyncio HTTP/JSON front door that validates submitted
 :class:`~repro.experiments.config.RunSpec` documents through the exact
-codecs in :mod:`repro.serialize`, multiplexes many concurrent
-:class:`~repro.session.SimulationSession` runs over a worker pool,
-streams instrument telemetry (the typed lifecycle events of
+codecs in :mod:`repro.serialize`, executes many concurrent
+:class:`~repro.session.SimulationSession` runs in a pool of simulation
+worker processes (:mod:`~repro.serve.worker`), streams instrument
+telemetry (the typed lifecycle events of
 :mod:`repro.sim.events`) as NDJSON/SSE, and shares the on-disk result
 cache across clients with single-flight dedup — identical cache-keyed
 specs submitted concurrently run exactly once.

@@ -59,7 +59,7 @@ class RunJournal:
     """Append-only submitted/terminal journal for one daemon cache dir.
 
     Appends are serialized under an internal lock: submissions land from
-    the asyncio plane while terminal records land from worker threads.
+    the asyncio plane while terminal records land from job threads.
     """
 
     def __init__(self, path: str | os.PathLike[str]) -> None:

@@ -35,8 +35,10 @@ __all__ = [
     "JOB_STATES",
     "TERMINAL_STATES",
     "END_OF_STREAM",
+    "canonical_result_bytes",
     "event_to_wire",
     "ndjson_line",
+    "ndjson_to_sse",
     "sse_line",
     "error_json",
 ]
@@ -157,24 +159,53 @@ TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 END_OF_STREAM = "EndOfStream"
 
 
+# -- result documents ---------------------------------------------------------
+def canonical_result_bytes(payload: dict[str, Any]) -> bytes:
+    """The wire encoding of a result document: sorted-key compact JSON.
+
+    Both sides of the byte-identity contract use this — the worker
+    process when it serialises a finished run, and any client comparing
+    against an in-process ``result_to_dict(Simulation(spec).run())``.
+    """
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 # -- telemetry rows -----------------------------------------------------------
+#: Per event class: its ``"event"`` tag and field names, in order.
+_WIRE_SHAPES: dict[type, tuple[str, tuple[str, ...]]] = {}
+
+#: ``json.dumps(row, separators=(",", ":"))`` without building an
+#: encoder per call (telemetry encodes thousands of rows per run).
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def event_to_wire(event: LifecycleEvent) -> dict[str, Any]:
     """One lifecycle event as a JSON-ready row.
 
     The exact :class:`~repro.instruments.EventTraceRecorder` row shape:
     the frozen dataclass's fields plus an ``"event"`` type tag.
     """
-    row: dict[str, Any] = {"event": type(event).__name__}
-    for field in dataclass_fields(event):
-        row[field.name] = getattr(event, field.name)
+    shape = _WIRE_SHAPES.get(type(event))
+    if shape is None:
+        names = tuple(field.name for field in dataclass_fields(event))
+        shape = _WIRE_SHAPES[type(event)] = (type(event).__name__, names)
+    tag, names = shape
+    row: dict[str, Any] = {"event": tag}
+    for name in names:
+        row[name] = getattr(event, name)
     return row
 
 
 def ndjson_line(row: dict[str, Any]) -> bytes:
     """Encode one row as a newline-delimited-JSON line."""
-    return (json.dumps(row, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_encode_compact(row) + "\n").encode("utf-8")
 
 
 def sse_line(row: dict[str, Any]) -> bytes:
     """Encode one row as a Server-Sent-Events ``data:`` frame."""
     return b"data: " + json.dumps(row, separators=(",", ":")).encode("utf-8") + b"\n\n"
+
+
+def ndjson_to_sse(line: bytes) -> bytes:
+    """Re-frame one :func:`ndjson_line` as the :func:`sse_line` of its row."""
+    return b"data: " + line[:-1] + b"\n\n"

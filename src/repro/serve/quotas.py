@@ -43,12 +43,12 @@ class QuotaPolicy:
         so a run over budget fails with ``quota_exceeded`` at the next
         slice boundary.
     ``lease_seconds``
-        Per-slice progress lease.  The worker renews the lease at every
+        Per-slice progress lease.  The daemon renews the lease at every
         slice boundary; a slice that outlives it is presumed wedged —
-        the watchdog cancels the session, fails the job with a
-        structured ``lease_expired`` error, and releases the quota slot
-        instead of letting a stuck worker pin it forever.  ``inf``
-        disables the watchdog.
+        the watchdog kills the worker process running it, fails the job
+        with a structured ``lease_expired`` error, and releases the
+        quota slot instead of letting a stuck worker pin it forever.
+        ``inf`` disables the watchdog.
     """
 
     max_inflight: int = 4

@@ -1,20 +1,39 @@
 """The asyncio HTTP/JSON daemon behind ``repro serve``.
 
-One process, two planes:
+Two planes, in separate processes:
 
-* the **asyncio plane** (one event loop) parses HTTP/1.1 requests,
-  answers status/stats instantly, and tails telemetry buffers for
-  streaming subscribers;
-* the **worker plane** (a thread pool) drives each accepted run as a
-  :class:`~repro.session.SimulationSession` in budgeted ``run_for``
-  slices, checking the job's cancel flag and wall-clock budget at every
-  slice boundary.
+* the **asyncio plane** (one event loop in the daemon) parses HTTP/1.1
+  requests, answers status/stats instantly, and tails telemetry
+  buffers for streaming subscribers;
+* the **worker plane** (:mod:`repro.serve.worker`) runs each accepted
+  job as a :class:`~repro.session.SimulationSession` in one of at most
+  ``max_workers`` long-lived simulation worker processes, so
+  concurrent runs do not share the daemon's interpreter lock.  A
+  job thread per running job steps its worker in lockstep, one pipe
+  round trip per ``run_for`` slice, and checks the job's cancel flag,
+  wall-clock budget and progress lease at every slice boundary.  A
+  cancel that must land mid-slice (lease expiry, shutdown) kills the
+  worker process; the next job gets a fresh one.
+
+Workers start lazily, on the first job, so they never delay binding
+the port.  They come from the ``forkserver`` start method with the
+worker module preloaded: each new worker is a fork of an interpreter
+that has already imported the simulator, where ``spawn`` (the fallback
+on platforms without forkserver) re-imports it in every worker.  The
+forkserver keeps the environment it started with, so each job carries
+its own settings — the daemon's ``validate`` flag, sanitizer switch
+and ``REPRO_WORKLOAD_CACHE*`` variables — rather than inheriting them.
+
+Memory splits three ways: the daemon holds, per finished job, only its
+canonical result bytes and its telemetry (at most ``max_events`` rows,
+as zlib-compressed NDJSON); the forkserver holds one preloaded
+interpreter; each worker holds the one run it is executing.
 
 Endpoints (all JSON; errors use the shared
 :mod:`~repro.serve.protocol` payload)::
 
     GET  /healthz                         liveness + versions
-    GET  /stats                           counters, states, quotas
+    GET  /stats                           counters, states, quotas, workers
     POST /runs                            submit {"spec": {...}} -> job
     GET  /runs/{id}                       job status
     GET  /runs/{id}/result[?aggregates=1&wait=1&timeout=S]
@@ -26,11 +45,11 @@ Submissions are **single-flight** on the spec's cache key: while a run
 for a key is queued, running, or done, further submissions of the same
 key attach to it — they charge no quota, run no simulation, and fetch
 the very same result bytes.  Results are canonical sorted-key compact
-JSON of :func:`repro.serialize.result_to_dict`, so an HTTP-fetched
-result is byte-identical to an in-process ``Simulation(spec).run()``
-serialized the same way; the shared on-disk cache
-(:class:`repro.batch.BatchRunner`'s format) extends that identity
-across server restarts.
+JSON of :func:`repro.serialize.result_to_dict`, encoded once in the
+worker, so an HTTP-fetched result is byte-identical to an in-process
+``Simulation(spec).run()`` serialized the same way; the shared on-disk
+cache (:class:`repro.batch.BatchRunner`'s format) extends that
+identity across server restarts.
 """
 
 from __future__ import annotations
@@ -42,20 +61,20 @@ import math
 import signal as signal_module
 import threading
 import time
+import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
-from repro.api import DEFAULT_N_JOBS, Simulation, normalize_spec
+from repro.api import DEFAULT_N_JOBS, normalize_spec
 from repro.batch import BatchRunner
 from repro.experiments.config import RunSpec
 from repro.faults import InjectedFault, fire as fault_fire
-from repro.instruments import Instrument
 from repro.serialize import (
     SpecValidationError,
+    result_from_dict,
     result_to_dict,
     spec_from_dict,
     spec_key,
@@ -69,13 +88,19 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     TERMINAL_STATES,
     ServeError,
-    event_to_wire,
+    canonical_result_bytes,
     ndjson_line,
+    ndjson_to_sse,
     sse_line,
 )
 from repro.serve.quotas import DEFAULT_CLIENT, QuotaLedger, QuotaPolicy
-from repro.session import SessionCancelled, SimulationSession
-from repro.sim.events import LifecycleEvent
+from repro.serve.worker import (
+    JobSettings,
+    SimulationWorker,
+    WorkerError,
+    WorkerLost,
+    WorkerPool,
+)
 
 __all__ = ["ReproServer", "ServeJob", "canonical_result_bytes"]
 
@@ -97,36 +122,13 @@ _REASONS = {
 }
 
 
-def canonical_result_bytes(payload: dict[str, Any]) -> bytes:
-    """The wire encoding of a result document: sorted-key compact JSON.
-
-    Both sides of the byte-identity contract use this — the daemon when
-    it serialises a finished run, and any client comparing against an
-    in-process ``result_to_dict(Simulation(spec).run())``.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-class _TelemetryForwarder(Instrument):
-    """Session instrument copying lifecycle events into the job buffer.
-
-    Deliberately *not* registry-registered: it is server plumbing, not
-    a user instrument, and its report is stripped from the result so
-    the served bytes match an un-instrumented in-process run.
-    """
-
-    name = "_serve_telemetry"
-
-    def __init__(self, job: "ServeJob") -> None:
-        super().__init__()
-        self._job = job
-
-    def on_event(self, event: LifecycleEvent) -> None:
-        self._job.record_event(event_to_wire(event))
-
-
 class ServeJob:
-    """One submitted run and everything the endpoints serve about it."""
+    """One submitted run and everything the endpoints serve about it.
+
+    A finished job keeps only its canonical result bytes and its
+    telemetry as compressed NDJSON chunks; aggregates are decoded from
+    the bytes on the first request for them.
+    """
 
     def __init__(
         self,
@@ -151,34 +153,44 @@ class ServeJob:
         self.recovered = recovered  # re-admitted from the journal at startup
         self.error: dict[str, Any] | None = None
         self.result_bytes: bytes | None = None
-        self.result_obj: Any = None  # SimulationResult, kept for aggregates
         self.cancel_event = threading.Event()
         self.max_events = max_events
-        # Watchdog surface: the live session (for cooperative cancel)
-        # and the monotonic deadline its current slice must renew by.
-        # GIL-atomic attribute hand-offs; None means "not running".
-        self.session: SimulationSession | None = None
+        # Watchdog surface: the monotonic deadline the current slice
+        # must renew by (None means "not running").
         self.lease_deadline: float | None = None
-        # Telemetry replay buffer: appended by the worker thread,
-        # sliced by streaming handlers; ``lock`` covers both plus the
-        # lazily-built aggregates encoding.
+        # ``lock`` covers the telemetry replay buffer (appended by the
+        # job's thread, sliced by streaming handlers), the lazily-built
+        # aggregates encoding, and ``worker`` — the process running this
+        # job, which kill_worker() may only touch while it is attached.
         self.lock = threading.Lock()
-        self.events: list[dict[str, Any]] = []
+        self.worker: SimulationWorker | None = None
+        # Telemetry as the worker sent it: zlib-compressed NDJSON
+        # chunks, each with its row count.
+        self.events: list[tuple[bytes, int]] = []
+        self.events_recorded = 0
         self.events_dropped = 0
         self._aggregates_bytes: bytes | None = None
 
-    def record_event(self, row: dict[str, Any]) -> None:
+    def add_events(self, chunk: bytes, rows: int, dropped: int) -> None:
+        """Append one telemetry chunk; ``dropped`` is the running count."""
         with self.lock:
-            if len(self.events) < self.max_events:
-                self.events.append(row)
-            else:
-                self.events_dropped += 1
+            if rows:
+                self.events.append((chunk, rows))
+                self.events_recorded += rows
+            self.events_dropped = dropped
+
+    def kill_worker(self) -> None:
+        """Kill the worker process running this job, if any (any thread)."""
+        with self.lock:
+            if self.worker is not None:
+                self.worker.kill()
 
     def aggregates_bytes(self) -> bytes:
         """The aggregates-only encoding of the finished result (cached)."""
         with self.lock:
             if self._aggregates_bytes is None:
-                result = self.result_obj
+                assert self.result_bytes is not None
+                result = result_from_dict(json.loads(self.result_bytes))
                 if not result.is_aggregated:
                     result = result.to_aggregates()
                 self._aggregates_bytes = canonical_result_bytes(result_to_dict(result))
@@ -186,7 +198,7 @@ class ServeJob:
 
     def status_payload(self) -> dict[str, Any]:
         with self.lock:
-            recorded = len(self.events)
+            recorded = self.events_recorded
             dropped = self.events_dropped
         return {
             "job_id": self.job_id,
@@ -222,11 +234,14 @@ class ReproServer:
     original job id, and re-runs it byte-identically (or serves it
     straight from the cache when the result landed before the crash).
 
-    ``shed_inflight`` is the load-shedding high-water mark: once that
-    many jobs are non-terminal, further *new* submissions are refused
-    with a 503 carrying ``Retry-After`` instead of being accepted into
-    a queue the worker pool cannot drain in time (single-flight dedup
-    hits still attach for free).  ``None`` disables shedding.
+    ``max_workers`` bounds both the jobs that run at once and the
+    simulation worker processes that run them (see
+    :mod:`repro.serve.worker`).  ``shed_inflight`` is the load-shedding
+    high-water mark: once that many jobs are non-terminal, further
+    *new* submissions are refused with a 503 carrying ``Retry-After``
+    instead of being accepted into a queue the worker pool cannot drain
+    in time (single-flight dedup hits still attach for free).  ``None``
+    disables shedding.
     """
 
     def __init__(
@@ -270,6 +285,7 @@ class ReproServer:
             else None
         )
         self._ledger = QuotaLedger(self.quota)
+        self._workers = WorkerPool(max_workers)
         self._state_lock = threading.Lock()
         self._cache_lock = threading.Lock()
         self._jobs: dict[str, ServeJob] = {}
@@ -292,6 +308,7 @@ class ReproServer:
         self._server: asyncio.AbstractServer | None = None
         self._stopping: asyncio.Event | None = None
         self._ready = threading.Event()
+        self._exited = threading.Event()  # set as the server thread ends
         self._startup_error: BaseException | None = None
         self._thread: threading.Thread | None = None
         self._watchdog: threading.Thread | None = None
@@ -400,17 +417,18 @@ class ReproServer:
         for job in jobs:
             if job.state not in TERMINAL_STATES:
                 job.cancel_event.set()
-                session = job.session
-                if session is not None:
-                    # Interrupt the slice in flight, not just the next
-                    # boundary check — shutdown should not wait out a
-                    # full slice.
-                    session.request_cancel("server shutting down")
+                # Interrupt the slice in flight, not just the next
+                # boundary check — shutdown should not wait out a full
+                # slice.
+                job.kill_worker()
         executor = self._executor
-        if executor is not None:
-            await self._loop.run_in_executor(
-                None, lambda: executor.shutdown(wait=True, cancel_futures=True)
-            )
+
+        def reap() -> None:
+            if executor is not None:
+                executor.shutdown(wait=True, cancel_futures=True)
+            self._workers.close()
+
+        await self._loop.run_in_executor(None, reap)
         watchdog = self._watchdog
         if watchdog is not None:
             await self._loop.run_in_executor(None, lambda: watchdog.join(timeout=5))
@@ -461,14 +479,22 @@ class ReproServer:
             # _startup_error; anything else here means we were stopped.
             if self._startup_error is None:
                 raise
+        finally:
+            self._exited.set()
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the background server thread exits; True once it has."""
         thread = self._thread
         if thread is None:
             return True
-        thread.join(timeout)
-        return not thread.is_alive()
+        # Not thread.join(timeout): on Python 3.11 a KeyboardInterrupt
+        # landing inside join() marks the still-running thread stopped,
+        # so the stop() after a Ctrl-C would return before shutdown had
+        # reaped the worker processes.
+        if not self._exited.wait(timeout):
+            return False
+        thread.join()
+        return True
 
     def stop(self, timeout: float = 60.0) -> None:
         """Stop a ``start_in_thread`` server: drain workers, join the thread.
@@ -606,44 +632,50 @@ class ReproServer:
                 # A cache hit streams no telemetry (the run happened in
                 # some earlier life); subscribers get the sentinel only.
                 job.from_cache = True
-                job.result_obj = cached
                 job.result_bytes = canonical_result_bytes(result_to_dict(cached))
                 self._finish(job, protocol.DONE)
                 return
-            result = self._simulate(job)
-            if result is None:
+            data = self._simulate(job)
+            if data is None:
                 return  # cancelled or over budget; _finish already ran
             with self._cache_lock:
-                self._runner.cache_store(job.spec, result)
-            job.result_obj = result
-            job.result_bytes = canonical_result_bytes(result_to_dict(result))
+                self._runner.cache_store_bytes(job.spec, data)
+            job.result_bytes = data
             self._finish(job, protocol.DONE)
         except Exception as exc:
+            if isinstance(exc, WorkerError):
+                message = str(exc)  # already "Type: message" from the worker
+            else:
+                message = f"{type(exc).__name__}: {exc}"
             self._finish(
                 job,
                 protocol.FAILED,
-                error={
-                    "code": "simulation_failed",
-                    "message": f"{type(exc).__name__}: {exc}",
-                    "field": None,
-                },
+                error={"code": "simulation_failed", "message": message, "field": None},
             )
 
-    def _simulate(self, job: ServeJob) -> Any:
-        """Drive one session in slices; ``None`` if it did not finish."""
-        forwarder = _TelemetryForwarder(job)
-        session = Simulation(job.spec, validate=self.validate).session(
-            instruments=[forwarder]
-        )
-        job.session = session
+    def _simulate(self, job: ServeJob) -> bytes | None:
+        """Drive one run in a worker process, slice by slice.
+
+        Returns the canonical result bytes, or ``None`` if the run did
+        not finish: ``_finish`` already ran, or the shutdown close-out
+        owns the job.
+        """
+        try:
+            worker = self._workers.acquire()
+        except WorkerLost:
+            if self._closing.is_set():
+                return None
+            raise
+        with job.lock:
+            job.worker = worker
+        settings = JobSettings.capture(self.validate, job.max_events)
         deadline = time.monotonic() + self.quota.max_wall_seconds
         try:
-            while not session.done:
+            done = self._absorb(job, worker.request("start", job.spec, settings))
+            while not done:
                 if self._closing.is_set():
-                    session.cancel("server shutting down")
                     return None  # shutdown close-out finishes the job
                 if job.cancel_event.is_set():
-                    session.cancel("client request")
                     self._finish(
                         job,
                         protocol.CANCELLED,
@@ -655,7 +687,6 @@ class ReproServer:
                     )
                     return None
                 if time.monotonic() >= deadline:
-                    session.cancel("wall-clock budget exhausted")
                     self._finish(
                         job,
                         protocol.FAILED,
@@ -671,27 +702,51 @@ class ReproServer:
                     return None
                 # Renew the progress lease, then run one slice.  A slice
                 # that wedges misses the renewal; the watchdog observes
-                # the stale deadline and cancels the session from outside.
+                # the stale deadline and kills the worker from outside.
                 job.lease_deadline = time.monotonic() + self.quota.lease_seconds
                 fault_fire("worker.slice")
-                try:
-                    session.run_for(self.slice_events)
-                except SessionCancelled:
-                    # The watchdog (or another thread) cancelled us
-                    # mid-slice and already closed the job out.
-                    return None
-            result = session.result()
+                done = self._absorb(job, worker.request("slice", self.slice_events))
+            # Closing the books and encoding the result is leased too.
+            job.lease_deadline = time.monotonic() + self.quota.lease_seconds
+            _, data, *telemetry = worker.request("finish")
+            job.add_events(*telemetry)
+        except WorkerLost:
+            if worker.killed or self._closing.is_set():
+                # The watchdog or shutdown killed it mid-slice and owns
+                # the job's close-out.
+                return None
+            raise  # a crash: the job fails with simulation_failed
         finally:
-            job.session = None
             job.lease_deadline = None
+            with job.lock:
+                job.worker = None
+            self._return_worker(worker)
         with self._state_lock:
             self._simulations_run += 1
-        # Strip the forwarder's report: it is server plumbing, and the
-        # served bytes must equal a plain in-process run of the spec.
-        reports = tuple(
-            r for r in result.instruments if r.name != _TelemetryForwarder.name
-        )
-        return replace(result, instruments=reports)
+        return data
+
+    @staticmethod
+    def _absorb(job: ServeJob, reply: tuple[Any, ...]) -> bool:
+        """Take a slice reply's telemetry into the job; returns ``done``."""
+        _, done, *telemetry = reply
+        job.add_events(*telemetry)
+        return bool(done)
+
+    def _return_worker(self, worker: SimulationWorker) -> None:
+        """Back to the pool, minus any abandoned run; reap it if it died.
+
+        A failed round trip, not ``process.is_alive()``, is the proof of
+        death: the pipe closes before the process is reaped, so a
+        crashed worker can still read as alive here.
+        """
+        try:
+            if worker.killed:
+                raise WorkerLost(f"worker process {worker.pid} was killed")
+            worker.request("drop")
+        except WorkerLost:
+            self._workers.discard(worker)
+        else:
+            self._workers.release(worker)
 
     def _finish(
         self,
@@ -746,16 +801,13 @@ class ReproServer:
                 self._expire_lease(job)
 
     def _expire_lease(self, job: ServeJob) -> None:
-        """Cancel a wedged job from outside its worker thread."""
+        """Fail a wedged job from outside its job thread."""
         if self._closing.is_set():
             return  # shutdown owns close-outs now; don't journal terminals
         job.cancel_event.set()
-        session = job.session
-        if session is not None:
-            # Cooperative: posts a flag the driving thread materialises
-            # at its next event boundary, raising SessionCancelled out
-            # of the wedged run_for call.
-            session.request_cancel("progress lease expired")
+        # Kill the worker mid-slice: its job thread sees the round
+        # trip fail, leaves the close-out below to us, and reaps it.
+        job.kill_worker()
         with self._state_lock:
             self._lease_expirations += 1
         self._finish(
@@ -1011,42 +1063,39 @@ class ReproServer:
         sse = query.get("format") == "sse" or "text/event-stream" in headers.get(
             "accept", ""
         )
-        encode = sse_line if sse else ndjson_line
         content_type = "text/event-stream" if sse else "application/x-ndjson"
+
+        def frames(chunks: list[tuple[bytes, int]]) -> bytes:
+            ndjson = b"".join(zlib.decompress(chunk) for chunk, _ in chunks)
+            if not sse:
+                return ndjson
+            return b"".join(map(ndjson_to_sse, ndjson.splitlines(keepends=True)))
+
         await self._send_stream_head(writer, content_type)
-        sent = 0
+        taken = sent = 0  # chunks and rows streamed so far
         while True:
-            with job.lock:
-                rows = job.events[sent:]
-                dropped = job.events_dropped
             # Terminal state is only set after the run stopped emitting,
-            # so a terminal snapshot taken *after* slicing the buffer
-            # guarantees the slice already held every row.
+            # so a buffer sliced *after* seeing it holds every row.
             terminal = job.state in TERMINAL_STATES
-            for row in rows:
-                writer.write(encode(row))
-            sent += len(rows)
-            if rows:
-                await writer.drain()
+            with job.lock:
+                chunks = job.events[taken:]
+                dropped = job.events_dropped
+            taken += len(chunks)
+            sent += sum(rows for _, rows in chunks)
+            if chunks:
+                writer.write(frames(chunks))
             if terminal:
-                with job.lock:
-                    rows = job.events[sent:]
-                    dropped = job.events_dropped
-                for row in rows:
-                    writer.write(encode(row))
-                sent += len(rows)
-                writer.write(
-                    encode(
-                        {
-                            "event": END_OF_STREAM,
-                            "state": job.state,
-                            "events": sent,
-                            "events_dropped": dropped,
-                        }
-                    )
-                )
+                sentinel = {
+                    "event": END_OF_STREAM,
+                    "state": job.state,
+                    "events": sent,
+                    "events_dropped": dropped,
+                }
+                writer.write(sse_line(sentinel) if sse else ndjson_line(sentinel))
                 await writer.drain()
                 return
+            if chunks:
+                await writer.drain()
             await asyncio.sleep(_TICK)
 
     # -- responses ---------------------------------------------------------------
@@ -1135,6 +1184,7 @@ class ReproServer:
                     "lease_seconds": self.quota.lease_seconds,
                 },
             }
+        payload["workers"] = self._workers.stats()
         payload["inflight"] = self._ledger.snapshot()
         return payload
 

@@ -89,6 +89,12 @@ class TestEndToEnd:
         assert stats["jobs"]["done"] == 1
         assert stats["quota"]["max_inflight"] == QuotaPolicy().max_inflight
 
+    def test_stats_count_the_worker_plane(self, server, client):
+        # Workers start lazily: a daemon that has run nothing has none.
+        assert client.stats()["workers"] == {"alive": 0, "started": 0, "replaced": 0}
+        client.wait(client.submit(SPEC)["job_id"])
+        assert client.stats()["workers"] == {"alive": 1, "started": 1, "replaced": 0}
+
     def test_unknown_job_is_not_found(self, server, client):
         with pytest.raises(ServeError) as info:
             client.status("job-999999")

@@ -171,6 +171,24 @@ class TestDiskCache:
         assert fresh.cache_misses == 0
         assert as_bytes(first) == as_bytes(second)
 
+    def test_store_bytes_splices_into_the_entry_layout(self, tmp_path):
+        """An already-encoded result (the serve daemon's canonical bytes)
+        makes the same entry as storing the result object."""
+        from repro.serve.protocol import canonical_result_bytes
+
+        spec = RunSpec(workload="CTC", n_jobs=N_JOBS, seed=3)
+        (result,) = BatchRunner(max_workers=1).run([spec])
+        BatchRunner(cache_dir=tmp_path / "bytes").cache_store_bytes(
+            spec, canonical_result_bytes(result_to_dict(result))
+        )
+        BatchRunner(cache_dir=tmp_path / "object").cache_store(spec, result)
+        entries = [
+            json.loads(next((tmp_path / name).glob("*.json")).read_text())
+            for name in ("bytes", "object")
+        ]
+        assert entries[0] == entries[1]
+        assert BatchRunner(cache_dir=tmp_path / "bytes").cache_load(spec) == result
+
     def test_corrupt_cache_entry_recomputed(self, tmp_path):
         spec = RunSpec(workload="CTC", n_jobs=N_JOBS)
         runner = BatchRunner(max_workers=1, cache_dir=tmp_path)
@@ -388,6 +406,55 @@ class TestFaultTolerance:
             BatchRunner(on_error="ignore")
         with pytest.raises(ValueError, match="retries"):
             BatchRunner(retries=-1)
+
+
+def _break_at_submit(monkeypatch, at: int) -> dict[str, int]:
+    """Make the ``at``-th ``pool.submit`` raise ``BrokenProcessPool`` once.
+
+    Deterministic stand-in for a pool that broke between ``wait()`` and
+    the next ``submit()``: there the executor refuses the submission
+    itself, so the failure never surfaces from a future.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    real_spawn = BatchRunner._spawn_pool
+    counts = {"submits": 0, "pools": 0}
+
+    def spawn(self, workers):
+        pool = real_spawn(self, workers)
+        counts["pools"] += 1
+        real_submit = pool.submit
+
+        def submit(*args, **kwargs):
+            counts["submits"] += 1
+            if counts["submits"] == at:
+                raise BrokenProcessPool("injected: the pool broke before this submit")
+            return real_submit(*args, **kwargs)
+
+        pool.submit = submit
+        return pool
+
+    monkeypatch.setattr(BatchRunner, "_spawn_pool", spawn)
+    return counts
+
+
+class TestSubmitTimePoolBreak:
+    @pytest.mark.parametrize("on_error", ["skip", "retry"])
+    def test_spec_and_inflight_rerun_in_isolation(self, monkeypatch, on_error):
+        counts = _break_at_submit(monkeypatch, at=3)
+        specs = grid_specs()
+        runner = BatchRunner(max_workers=2, on_error=on_error)
+        results = runner.run(specs)
+        assert runner.failures == ()  # nobody is blamed for a submit-time break
+        assert counts["pools"] == 2  # the pool was respawned once
+        assert as_bytes(results) == as_bytes(BatchRunner(max_workers=1).run(specs))
+
+    def test_raise_mode_reraises(self, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        _break_at_submit(monkeypatch, at=2)
+        with pytest.raises(BrokenProcessPool, match="before this submit"):
+            BatchRunner(max_workers=2).run(grid_specs())
 
 
 class TestCacheTempFiles:
