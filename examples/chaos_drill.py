@@ -96,6 +96,7 @@ def act_two_sigkill_drill() -> None:
             time.sleep(0.05)
         first.kill()  # SIGKILL: the journal gets no goodbye
         first.wait()
+        first.stdout.close()
         print(f"daemon SIGKILLed with {job_id} mid-simulation")
 
         second, address = spawn_daemon(cache_dir)
@@ -120,6 +121,7 @@ def act_two_sigkill_drill() -> None:
         finally:
             second.send_signal(signal.SIGINT)
             second.wait(timeout=15)
+            second.stdout.close()
 
 
 def main() -> None:

@@ -81,6 +81,17 @@ def spawn_daemon(*extra_args: str) -> subprocess.Popen:
     )
 
 
+def reap(process: subprocess.Popen) -> None:
+    """Wait for a signalled daemon to exit, then close its stdout pipe."""
+    try:
+        process.wait(timeout=15)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        process.wait()
+    assert process.stdout is not None
+    process.stdout.close()
+
+
 def sigkill_drill() -> None:
     """Kill a daemon mid-run; a restart must recover the journalled job."""
     with tempfile.TemporaryDirectory(prefix="serve-smoke-") as cache_dir:
@@ -95,7 +106,7 @@ def sigkill_drill() -> None:
                 fail("kill-drill job never started running")
             time.sleep(0.05)
         first.kill()  # SIGKILL: no drain, no journal goodbye
-        first.wait()
+        reap(first)
         print(f"serve-smoke: SIGKILLed daemon with {job_id} mid-run")
 
         second = spawn_daemon("--cache-dir", cache_dir)
@@ -126,11 +137,7 @@ def sigkill_drill() -> None:
             )
         finally:
             second.send_signal(signal.SIGINT)
-            try:
-                second.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                second.kill()
-                second.wait()
+            reap(second)
 
 
 def main() -> int:
@@ -176,11 +183,7 @@ def main() -> int:
         )
     finally:
         process.send_signal(signal.SIGINT)
-        try:
-            process.wait(timeout=15)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            process.wait()
+        reap(process)
     sigkill_drill()
     return 0
 

@@ -29,9 +29,10 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.cluster.machine import Machine
-from repro.registry import POWER_MODELS, SCHEDULERS, WORKLOAD_SOURCES
+from repro.registry import ENGINES, POWER_MODELS, SCHEDULERS, WORKLOAD_SOURCES
 from repro.scheduling.base import Scheduler, SchedulerConfig
 from repro.scheduling.job import Job
+from repro.sim.lanes import resolve_engine_name
 
 if TYPE_CHECKING:  # imported for annotations only; avoids package cycles
     from repro.experiments.config import RunSpec
@@ -154,22 +155,18 @@ class Simulation:
     def run(self) -> SimulationResult:
         """Simulate the spec to completion.
 
-        Execution goes through the engine lane the spec resolves to
-        (``spec.engine`` → ``REPRO_ENGINE`` → ``"reference"``; see
-        :mod:`repro.sim.lanes`) — every lane is byte-identical to the
-        committed golden traces, so the choice affects speed only.
-        Instrumented specs run as ``session().result()`` on the
-        reference core (sessions are steppable by construction).
-        Resolving to an unavailable lane (``columnar`` without numpy)
-        raises :class:`~repro.serialize.SpecValidationError` with field
-        ``engine``.
+        Execution goes through the engine lane the spec resolves to:
+        the fused ``columnar`` core when numpy is importable, else the
+        ``reference`` core, unless ``spec.engine`` or ``REPRO_ENGINE``
+        pins one (see :mod:`repro.sim.lanes`).  Every lane is
+        byte-identical to the committed golden traces, so the choice
+        affects speed only.  Instrumented specs run as
+        ``session().result()`` on the reference core (sessions are
+        steppable by construction).
         """
-        from repro.sim.lanes import resolve_lane  # deferred: avoids a cycle
-
-        lane = resolve_lane(self.spec)
         if self.spec.instruments:
             return self.session().result()
-        result: SimulationResult = lane.run(self)
+        result: SimulationResult = ENGINES.get(resolve_engine_name(self.spec)).run(self)
         return result
 
     def session(self, *, instruments: Sequence[Instrument] = ()) -> SimulationSession:

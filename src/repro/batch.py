@@ -58,7 +58,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.api import Simulation, normalize_spec
 from repro.faults import InjectedCrash, fire as fault_fire, torn_write as fault_torn_write
 from repro.registry import WORKLOAD_SOURCES
-from repro.sim.lanes import check_engine_name
 from repro.serialize import (
     FORMAT_VERSION,
     result_from_dict,
@@ -177,14 +176,6 @@ class BatchRunner:
         ``"skip"``.
     retries:
         Extra attempts per spec under ``on_error="retry"``.
-    engine:
-        Simulation core for specs that do not pin one themselves
-        (``spec.engine is None``).  Lane choice is execution metadata —
-        it never enters cache keys, so a batch run under ``"columnar"``
-        reads and writes the same cache entries as one under
-        ``"reference"``.  The name is validated (and its availability
-        checked) up front so a misconfigured batch fails before any
-        work is scheduled.
     """
 
     def __init__(
@@ -197,15 +188,9 @@ class BatchRunner:
         aggregates_only: bool = False,
         on_error: str = "raise",
         retries: int = 2,
-        engine: str | None = None,
     ) -> None:
         if max_workers is not None and max_workers < 0:
             raise ValueError(f"max_workers must be non-negative, got {max_workers}")
-        if engine is not None:
-            # Raises SpecValidationError (field "engine") for an unknown
-            # or unavailable lane — the same fail-fast contract as the
-            # CLI and the serve daemon.
-            check_engine_name(engine)
         if on_error not in _ON_ERROR_MODES:
             raise ValueError(
                 f"on_error must be one of {_ON_ERROR_MODES}, got {on_error!r}"
@@ -219,7 +204,6 @@ class BatchRunner:
         self.aggregates_only = aggregates_only
         self.on_error = on_error
         self.retries = retries
-        self.engine = engine
         self._cache_hits = 0
         self._cache_misses = 0
         self._failures: list[SpecFailure] = []
@@ -419,15 +403,6 @@ class BatchRunner:
             normalized = [normalize_spec(s, self.default_n_jobs) for s in specs]
         else:
             normalized = [normalize_spec(s) for s in specs]
-        if self.engine is not None:
-            # The runner's lane is a default, not an override: a spec
-            # that pins its own engine keeps it.  Engine is excluded
-            # from spec identity, so the cache lookups below (and the
-            # dedup in run()) are unaffected.
-            normalized = [
-                s if s.engine is not None else s.with_engine(self.engine)
-                for s in normalized
-            ]
         for spec in normalized:
             if spec in resolved:
                 continue

@@ -34,13 +34,11 @@ from repro.experiments.config import PolicySpec, RunSpec
 from repro.experiments.runner import ExperimentRunner
 from repro.registry import (
     ABLATIONS,
-    ENGINES,
     FIGURES,
     POWER_MODELS,
     SCHEDULERS,
     SLEEP_POLICIES,
 )
-from repro.serialize import SpecValidationError
 from repro.serve.protocol import ServeError, error_json
 from repro.workloads.generator import generate_workload, load_workload
 from repro.workloads.models import WORKLOAD_NAMES, trace_model
@@ -114,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--boost", type=int, default=None,
                      help="dynamic-boost WQ trigger (extension; default off)")
     run.add_argument("--seed", type=int, default=None)
-    _add_engine_flag(run)
     _add_sleep_flags(run)
     run.set_defaults(handler=_cmd_run)
 
@@ -172,7 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=2,
         help="extra attempts per failing run under --on-error retry (default: 2)",
     )
-    _add_engine_flag(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
 
     table = sub.add_parser("table", help="regenerate a paper table")
@@ -290,15 +286,6 @@ def _runner(args: argparse.Namespace, aggregates_only: bool = False) -> Experime
     )
 
 
-def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", default=None, choices=ENGINES.names(), metavar="LANE",
-        help="simulation core lane: one of "
-             f"{', '.join(ENGINES.names())} (results are byte-identical; "
-             "default: the REPRO_ENGINE environment variable, else reference)",
-    )
-
-
 def _add_sleep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sleep", default=None, choices=SLEEP_POLICIES.names(), metavar="PRESET",
@@ -372,14 +359,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 scheduler=args.scheduler,
                 power_model=args.power_model,
                 sleep=_parse_sleep(args),
-                engine=args.engine,
             ),
             # The reference stays an always-on no-DVFS machine so the
             # energy ratios isolate what the policy (and sleep) saved.
             RunSpec(
                 workload=args.workload, seed=args.seed,
                 scheduler=args.scheduler, power_model=args.power_model,
-                engine=args.engine,
             ),
         ]
     )
@@ -506,7 +491,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise SystemExit("--resume needs --manifest PATH")
 
     baselines = {
-        workload: RunSpec(workload=workload, scheduler=args.scheduler, engine=args.engine)
+        workload: RunSpec(workload=workload, scheduler=args.scheduler)
         for workload in args.workloads
     }
     grid: list[RunSpec] = [
@@ -515,7 +500,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             policy=PolicySpec.power_aware(bsld, wq),
             size_factor=factor,
             scheduler=args.scheduler,
-            engine=args.engine,
         )
         for workload in args.workloads
         for bsld in bsld_thresholds
@@ -808,15 +792,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(arg_list)
         return args.handler(args)
-    except SpecValidationError as exc:
-        # Spec-level failures (an unavailable engine lane, a malformed
-        # submitted document) share the serve daemon's invalid_spec
-        # vocabulary: exit code 3, field-bearing JSON under --json.
-        failure = ServeError("invalid_spec", exc.reason, exc.path or None)
-        if _JSON_MODE:
-            print(error_json(failure), file=sys.stderr)
-            return failure.exit_code
-        raise SystemExit(str(failure)) from None
     except ServeError as exc:
         # The shared error schema: one JSON line + stable exit code in
         # --json mode, the familiar message-and-exit otherwise.

@@ -211,11 +211,13 @@ class RunSpec:
     :data:`~repro.registry.SLEEP_POLICIES`); like instruments it is
     serialized and cache-keyed.
 
-    ``engine`` selects the simulation core on
-    :data:`~repro.registry.ENGINES` (``None`` = the process default:
-    ``REPRO_ENGINE`` or ``"reference"``).  Lanes are pinned
-    byte-identical, so the field is *execution metadata*, not run
-    identity: it is excluded from equality/hashing and from the
+    ``engine`` pins the simulation core to a lane on
+    :data:`~repro.registry.ENGINES` — a test and benchmark pin (lane
+    differentials, golden twins, per-lane timings).  ``None`` means
+    automatic: ``REPRO_ENGINE`` if set, else the fused ``columnar``
+    core when numpy is importable and ``reference`` otherwise.  Lanes
+    are pinned byte-identical, so the field is *execution metadata*,
+    not run identity: it is excluded from equality/hashing and from the
     canonical spec JSON, and two specs differing only in ``engine``
     share one cache entry.
     """
@@ -286,7 +288,7 @@ class RunSpec:
         return replace(self, sleep=sleep)
 
     def with_engine(self, engine: str | None) -> "RunSpec":
-        """Copy running on the named engine lane (``None`` = process default).
+        """Copy pinned to the named engine lane (``None`` = automatic).
 
         Results and cache keys are unchanged: lanes are pinned
         byte-identical, and ``engine`` is excluded from spec identity.

@@ -189,10 +189,10 @@ SLEEP_POLICIES: Registry[Callable[..., Any]] = Registry(
     "sleep policy", modules=("repro.cluster.power",)
 )
 
-#: Engine lanes (``EngineLane`` instances): alternative simulation cores
-#: a :class:`~repro.experiments.config.RunSpec` can select via its
-#: ``engine`` field.  Lane choice never changes results or cache keys —
-#: every lane is pinned byte-identical to the reference core.
+#: Engine lanes (``EngineLane`` instances): alternative simulation cores,
+#: looked up when a run starts (:mod:`repro.sim.lanes` picks the lane).
+#: Lane choice never changes results or cache keys — every lane is
+#: pinned byte-identical to the reference core.
 ENGINES: Registry[Any] = Registry("engine", modules=("repro.sim.lanes",))
 
 #: Paper-figure builders ``(ExperimentRunner) -> figure``, keyed by number.

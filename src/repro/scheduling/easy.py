@@ -43,7 +43,42 @@ from repro.scheduling.base import Scheduler
 from repro.scheduling.job import Job
 from repro.sim.engine import SimulationError
 
-__all__ = ["EasyBackfilling"]
+__all__ = ["EasyBackfilling", "head_reservation"]
+
+
+def head_reservation(
+    estimates: list[tuple[float, int, int]], free: int, head: Job
+) -> tuple[float, int]:
+    """Earliest start ``t_res`` for ``head``, and the spare CPUs then.
+
+    ``estimates`` holds the running jobs' ``(estimated_end, job_id,
+    size)`` tuples in ascending order and ``free`` the idle processor
+    count.  Walks the estimated (requested-time based) completions,
+    accumulating freed processors until the head fits; all completions
+    sharing the crossing timestamp count towards ``extra``.  Both cores
+    call this one walk; each keeps its own memo around it.
+    """
+    if free >= head.size:
+        raise SimulationError(
+            f"reservation requested for head {head.job_id} that already fits"
+        )
+    t_res: float | None = None
+    index = 0
+    for index, (end, _job_id, size) in enumerate(estimates):
+        free += size
+        if free >= head.size:
+            t_res = end
+            break
+    if t_res is None:
+        raise SimulationError(
+            f"head {head.job_id} (size {head.size}) cannot fit even on the "
+            f"drained machine; trace validation should have caught this"
+        )
+    for end, _job_id, size in estimates[index + 1 :]:
+        if end != t_res:
+            break
+        free += size
+    return t_res, free - head.size
 
 
 @SCHEDULERS.register("easy")
@@ -94,40 +129,13 @@ class EasyBackfilling(Scheduler):
 
     # -- reservation --------------------------------------------------------------
     def _head_reservation(self, head: Job) -> tuple[float, int]:
-        """Earliest start ``t_res`` for the head, and the spare CPUs then.
-
-        Walks running jobs in order of their *estimated* (requested-time
-        based) completions, accumulating freed processors until the head
-        fits.  All completions sharing the crossing timestamp count
-        towards ``extra``.
-        """
+        """:func:`head_reservation` over the running set, memoised."""
         free = self._pool.free_cpus
-        if free >= head.size:
-            raise SimulationError(
-                f"reservation requested for head {head.job_id} that already fits"
-            )
         key = (head.job_id, free, self._est_version)
         memo = self._reservation_memo
         if memo is not None and memo[0] == key:
             return memo[1]
-        estimates = self._estimates
-        t_res: float | None = None
-        index = 0
-        for index, (end, _job_id, size) in enumerate(estimates):
-            free += size
-            if free >= head.size:
-                t_res = end
-                break
-        if t_res is None:
-            raise SimulationError(
-                f"head {head.job_id} (size {head.size}) cannot fit even on the "
-                f"drained machine; trace validation should have caught this"
-            )
-        for end, _job_id, size in estimates[index + 1 :]:
-            if end != t_res:
-                break
-            free += size
-        result = (t_res, free - head.size)
+        result = head_reservation(self._estimates, free, head)
         self._reservation_memo = (key, result)
         return result
 

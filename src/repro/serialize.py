@@ -188,21 +188,7 @@ def spec_from_dict(data: dict[str, Any]) -> RunSpec:
 
     Malformed documents raise :class:`SpecValidationError` locating the
     offending field — never a bare ``KeyError``/``TypeError``.
-
-    An optional ``engine`` key selects the simulation core (it is
-    accepted on input for submit documents even though
-    :func:`spec_to_dict` never emits it — the lane is execution
-    metadata, not run identity).
     """
-    engine = data.get("engine") if isinstance(data, dict) else None
-    if engine is not None:
-        from repro.registry import ENGINES  # deferred: keeps import cycles out
-
-        if not isinstance(engine, str) or engine not in ENGINES:
-            raise SpecValidationError(
-                "engine",
-                f"unknown engine {engine!r}; available: {', '.join(ENGINES.names())}",
-            )
     policy = _require_mapping(_get(data, "policy", ""), "policy")
     try:
         decoded_policy = PolicySpec(
@@ -249,7 +235,6 @@ def spec_from_dict(data: dict[str, Any]) -> RunSpec:
             record_timeline=_get(data, "record_timeline", ""),
             instruments=tuple(instruments),
             sleep=_sleep_from_dict(data.get("sleep"), "sleep"),
-            engine=engine,
         )
     except SpecValidationError:
         raise

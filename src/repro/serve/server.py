@@ -82,7 +82,6 @@ from repro.serialize import (
 )
 from repro.serve import protocol
 from repro.serve.journal import RunJournal
-from repro.sim.lanes import check_engine_available
 from repro.serve.protocol import (
     END_OF_STREAM,
     PROTOCOL_VERSION,
@@ -995,10 +994,6 @@ class ReproServer:
         raw_spec = document.get("spec", document)  # envelope optional
         try:
             spec = normalize_spec(spec_from_dict(raw_spec), self.default_n_jobs)
-            # Fail at submission, not mid-run: an unavailable engine
-            # lane (spec-pinned or via REPRO_ENGINE) is a 400 with
-            # field "engine", not a simulation_failed job.
-            check_engine_available(spec)
         except SpecValidationError as exc:
             raise ServeError("invalid_spec", exc.reason, exc.path or None) from exc
         except (TypeError, ValueError) as exc:

@@ -78,11 +78,6 @@ class SimulationSession:
         self._engine = self._scheduler.prepare(simulation.jobs)
         self._result: SimulationResult | None = None
         self._cancelled: str | None = None
-        # Written by request_cancel (possibly from another thread), read
-        # by the driving thread at event boundaries.  A plain attribute:
-        # the GIL makes the str-or-None hand-off atomic, and the only
-        # transition is None -> str.
-        self._cancel_requested: str | None = None
 
     # -- introspection -----------------------------------------------------------
     @property
@@ -169,13 +164,6 @@ class SimulationSession:
             raise RuntimeError("session already finalised; build a new one to re-run")
 
     def _check_budget(self) -> None:
-        # A cooperative cancel request (possibly from another thread)
-        # materialises here, on the driving thread, at an event
-        # boundary — the only place scheduler/engine state is safe to
-        # stand down from.
-        if self._cancel_requested is not None and self._result is None:
-            self.cancel(self._cancel_requested)
-            raise SessionCancelled(self._cancelled)
         # The same runaway guard Engine.run enforces for run_until /
         # run_to_completion: stepping past it means the scheduler is
         # rescheduling events endlessly, and a driving loop keyed on
@@ -212,26 +200,6 @@ class SimulationSession:
             f"session cancelled: {reason}" if reason else "session cancelled"
         )
         self._scheduler.abort()
-
-    def request_cancel(self, reason: str = "") -> None:
-        """Ask the *driving thread* to cancel at its next event boundary.
-
-        Unlike :meth:`cancel`, this is safe to call from another thread
-        while a driving method is in flight: it only posts a flag.  The
-        thread inside :meth:`step`/:meth:`run_for` observes it before
-        processing the next event, performs the actual :meth:`cancel`
-        (scheduler stand-down) on its own stack, and raises
-        :class:`SessionCancelled` out of the driving call — so a
-        watchdog can interrupt a long slice mid-flight without touching
-        live scheduler state.  ``run_until``/``run_to_completion`` use
-        the tight engine loop and only honour the request on their next
-        invocation.  A no-op once the session is finalised or already
-        cancelled.
-        """
-        if self._cancel_requested is None:
-            self._cancel_requested = (
-                f"cancel requested: {reason}" if reason else "cancel requested"
-            )
 
     # -- runtime control ----------------------------------------------------------
     def set_policy(self, policy: FrequencyPolicy | PolicySpec) -> None:

@@ -30,11 +30,12 @@ Bit-exactness is the contract (the golden traces and the lane-vs-lane
 differentials enforce it), so every floating-point expression here is
 the *same expression in the same order* as the reference core's:
 ``start_job``'s end-time arithmetic, the energy segment accumulation on
-each finish, the reservation walk and the pre-filtered backfill scan
-(including its memo/cache keys) all mirror
-:mod:`repro.scheduling.base` / :mod:`repro.scheduling.easy` line for
-line.  The wait-queue (:class:`~repro.scheduling.queue.JobQueue`) is
-reused outright, so candidate enumeration is shared code, not a copy.
+each finish and the pre-filtered backfill scan (including its
+memo/cache keys) all mirror :mod:`repro.scheduling.base` /
+:mod:`repro.scheduling.easy` line for line.  The head-reservation walk
+(:func:`~repro.scheduling.easy.head_reservation`) and the wait-queue
+(:class:`~repro.scheduling.queue.JobQueue`) are reused outright, so
+they are shared code, not copies.
 
 Coverage: EASY and FCFS scheduling under the ``nodvfs``, ``fixed`` and
 ``bsld`` policy kinds, no boost, no sleep, no timeline, no instruments,
@@ -60,6 +61,7 @@ from repro.power.energy import EnergyAccounting
 from repro.power.time_model import BetaTimeModel
 from repro.registry import POWER_MODELS
 from repro.scheduling.columns import OutcomeColumns
+from repro.scheduling.easy import head_reservation
 from repro.scheduling.job import Job, validate_jobs
 from repro.scheduling.queue import JobQueue
 from repro.scheduling.result import SimulationResult
@@ -297,41 +299,9 @@ def _run_columnar(simulation: Simulation, jobs: list[Job]) -> SimulationResult:
             queue.popleft()
             start_job(now, head, gear_idx)
 
-    def head_reservation(head: Job) -> tuple[float, int]:
-        """Mirror of ``EasyBackfilling._head_reservation`` (memo included)."""
-        nonlocal reservation_memo
-        accumulated = free
-        if accumulated >= head.size:
-            raise SimulationError(
-                f"reservation requested for head {head.job_id} that already fits"
-            )
-        key = (head.job_id, accumulated, est_version)
-        memo = reservation_memo
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        t_res: float | None = None
-        index = 0
-        for index, (end, _job_id, size) in enumerate(estimates):
-            accumulated += size
-            if accumulated >= head.size:
-                t_res = end
-                break
-        if t_res is None:
-            raise SimulationError(
-                f"head {head.job_id} (size {head.size}) cannot fit even on the "
-                f"drained machine; trace validation should have caught this"
-            )
-        for end, _job_id, size in estimates[index + 1 :]:
-            if end != t_res:
-                break
-            accumulated += size
-        result = (t_res, accumulated - head.size)
-        reservation_memo = (key, result)
-        return result
-
     def backfill_scan(now: float, head: Job, t_res: float, extra: int) -> None:
         """Mirror of ``EasyBackfilling._backfill_scan`` with inlined decisions."""
-        nonlocal scan_cache, free, seq, est_version
+        nonlocal scan_cache, reservation_memo, free, seq, est_version
         free_now = free
         if free_now == 0:
             return
@@ -444,7 +414,10 @@ def _run_columnar(simulation: Simulation, jobs: list[Job]) -> SimulationResult:
             elif size <= extra:
                 extra -= size
             else:
-                t_res, extra = head_reservation(head)
+                # The acceptance bumped est_version, so the memo cannot
+                # hit: walk, and leave the result for the next pass.
+                t_res, extra = head_reservation(estimates, free, head)
+                reservation_memo = ((head_id, free, est_version), (t_res, extra))
             if t_res > mask_t_res or extra > mask_extra:
                 slack = (t_res - now) + 1e-9 + 1e-12 * abs(t_res)
                 mask_t_res = t_res
@@ -477,31 +450,15 @@ def _run_columnar(simulation: Simulation, jobs: list[Job]) -> SimulationResult:
                 return
             head = queue._jobs[queue._head]
             assert head is not None
-            # head_reservation inlined (one call per scheduling pass).
+            # The memo check inlined (one per scheduling pass); misses
+            # run the shared walk.
             nonlocal reservation_memo
-            accumulated = free
-            key = (head.job_id, accumulated, est_version)
+            key = (head.job_id, free, est_version)
             memo = reservation_memo
             if memo is not None and memo[0] == key:
                 t_res, extra = memo[1]
             else:
-                t_res = None
-                index = 0
-                for index, (end, _job_id, est_size) in enumerate(estimates):
-                    accumulated += est_size
-                    if accumulated >= head.size:
-                        t_res = end
-                        break
-                if t_res is None:
-                    raise SimulationError(
-                        f"head {head.job_id} (size {head.size}) cannot fit even on "
-                        f"the drained machine; trace validation should have caught this"
-                    )
-                for end, _job_id, est_size in estimates[index + 1 :]:
-                    if end != t_res:
-                        break
-                    accumulated += est_size
-                extra = accumulated - head.size
+                t_res, extra = head_reservation(estimates, free, head)
                 reservation_memo = (key, (t_res, extra))
             backfill_scan(now, head, t_res, extra)
 

@@ -1,4 +1,4 @@
-"""Engine lanes: registry-selectable simulation cores.
+"""Engine lanes: the simulation cores behind ``Simulation.run()``.
 
 A *lane* is an alternative implementation of "run this spec to
 completion".  Every lane is pinned byte-identical to the reference core
@@ -11,52 +11,47 @@ Two lanes ship:
 
 ``reference``
     The event-driven :class:`~repro.scheduling.base.Scheduler` core —
-    the semantics everything else is verified against.  Always
-    available; the default.
+    the semantics everything else is verified against.
 
 ``columnar``
     A fused, allocation-light EASY/FCFS core
     (:mod:`repro.sim.columnar`) holding job state in preallocated numpy
     arrays and batching event runs between scheduler decision points.
-    Requires numpy; configurations it does not cover (validate mode,
-    sleep policies, boost, timelines, the conservative scheduler, the
-    ``util`` policy) fall back to the reference core transparently —
+    Configurations it does not cover (validate mode, sleep policies,
+    boost, timelines, the conservative scheduler, the ``util`` policy)
+    and a missing numpy fall back to the reference core transparently —
     the results are identical either way.
 
-Resolution order: ``spec.engine`` → the ``REPRO_ENGINE`` environment
-variable → ``"reference"``.  An unavailable or unknown resolved lane
-raises :class:`~repro.serialize.SpecValidationError` with field
-``engine``, which the CLI and the serve daemon surface as the
-structured ``{error: {code, message, field}}`` document.
+The lane is chosen automatically: ``columnar`` whenever numpy is
+importable, ``reference`` otherwise.  Two pins override that choice —
+``spec.engine`` (lane-differential tests, golden twins and the
+benchmark) and then the ``REPRO_ENGINE`` environment variable (CI runs
+the whole suite on the reference core with it).
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.registry import ENGINES
+
+try:  # numpy is an optional accelerator, never a hard dependency
+    import numpy  # noqa: F401
+except ImportError:  # pragma: no cover - exercised only without numpy
+    _AUTOMATIC = "reference"
+else:
+    _AUTOMATIC = "columnar"
 
 if TYPE_CHECKING:  # imported for annotations only; avoids package cycles
     from repro.api import Simulation
     from repro.experiments.config import RunSpec
     from repro.scheduling.result import SimulationResult
 
-__all__ = [
-    "DEFAULT_ENGINE",
-    "ENGINE_ENV",
-    "EngineLane",
-    "check_engine_available",
-    "check_engine_name",
-    "resolve_engine_name",
-    "resolve_lane",
-]
+__all__ = ["ENGINE_ENV", "EngineLane", "resolve_engine_name"]
 
-#: The lane used when neither the spec nor the environment selects one.
-DEFAULT_ENGINE = "reference"
-
-#: Environment variable naming the process-default lane (CI uses it to
-#: drive the whole suite through the columnar core).
+#: Environment variable pinning the process-wide lane (CI uses it to
+#: drive the whole suite through the reference core).
 ENGINE_ENV = "REPRO_ENGINE"
 
 
@@ -65,44 +60,23 @@ class EngineLane:
 
     name = "abstract"
 
-    def available(self) -> bool:
-        """Whether this lane can run in the current environment."""
-        return True
-
-    def unavailable_reason(self) -> str:
-        """Why :meth:`available` is False (used in structured errors)."""
-        return f"engine {self.name!r} is unavailable"
-
     def run(self, simulation: Simulation) -> SimulationResult:
         raise NotImplementedError
 
 
 class ReferenceLane(EngineLane):
-    """The event-driven reference core — always available."""
+    """The event-driven reference core."""
 
-    name = DEFAULT_ENGINE
+    name = "reference"
 
     def run(self, simulation: Simulation) -> SimulationResult:
         return simulation.build_scheduler().run(simulation.jobs)
 
 
 class ColumnarLane(EngineLane):
-    """The vectorized columnar core; numpy-only, reference fallback."""
+    """The fused columnar core, falling back to the reference core."""
 
     name = "columnar"
-
-    def available(self) -> bool:
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
-    def unavailable_reason(self) -> str:
-        return (
-            "engine 'columnar' requires numpy, which is not installed; "
-            "install numpy or select engine 'reference'"
-        )
 
     def run(self, simulation: Simulation) -> SimulationResult:
         from repro.sim.columnar import try_run_columnar
@@ -110,57 +84,21 @@ class ColumnarLane(EngineLane):
         result = try_run_columnar(simulation)
         if result is not None:
             return result
-        # Configurations outside the fused core's coverage execute on
-        # the reference core — byte-identical by the lane contract.
+        # Configurations outside the fused core's coverage (and runs
+        # without numpy) execute on the reference core — byte-identical
+        # by the lane contract.
         return _REFERENCE.run(simulation)
 
 
 #: Registered as instances: a lane is stateless, so one object serves
 #: every run, and lookups return something immediately runnable.
 _REFERENCE = ReferenceLane()
-ENGINES.add(DEFAULT_ENGINE, _REFERENCE)
+ENGINES.add("reference", _REFERENCE)
 ENGINES.add("columnar", ColumnarLane())
 
 
 def resolve_engine_name(spec: RunSpec) -> str:
-    """The lane name ``spec`` resolves to (spec → environment → default)."""
+    """The lane ``spec`` runs on: its pin, else ``REPRO_ENGINE``, else automatic."""
     if spec.engine is not None:
         return spec.engine
-    return os.environ.get(ENGINE_ENV) or DEFAULT_ENGINE
-
-
-def check_engine_name(name: str) -> None:
-    """Fail fast when the named lane cannot run here.
-
-    Raises :class:`~repro.serialize.SpecValidationError` with field
-    ``engine`` for an unknown name or an unavailable lane (e.g.
-    ``columnar`` without numpy).
-    """
-    from repro.serialize import SpecValidationError  # deferred: avoids a cycle
-
-    if name not in ENGINES:
-        raise SpecValidationError(
-            "engine",
-            f"unknown engine {name!r}; available: {', '.join(ENGINES.names())}",
-        )
-    lane = ENGINES.get(name)
-    if not lane.available():
-        raise SpecValidationError("engine", lane.unavailable_reason())
-
-
-def check_engine_available(spec: RunSpec) -> None:
-    """Fail fast when the lane ``spec`` resolves to cannot run here.
-
-    Raises :class:`~repro.serialize.SpecValidationError` with field
-    ``engine`` for an unknown name (only reachable via ``REPRO_ENGINE``;
-    ``RunSpec`` validates its own field) or an unavailable lane (e.g.
-    ``columnar`` without numpy).  The CLI maps this to the structured
-    JSON error document and exit code 3; the serve daemon to HTTP 400.
-    """
-    check_engine_name(resolve_engine_name(spec))
-
-
-def resolve_lane(spec: RunSpec) -> Any:
-    """The :class:`EngineLane` that should execute ``spec`` (checked)."""
-    check_engine_available(spec)
-    return ENGINES.get(resolve_engine_name(spec))
+    return os.environ.get(ENGINE_ENV) or _AUTOMATIC

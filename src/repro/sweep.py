@@ -213,7 +213,6 @@ def run_sweep(
     aggregates_only: bool = False,
     on_error: str = "skip",
     retries: int = 2,
-    engine: str | None = None,
     progress: Callable[[RunSpec, SimulationResult], None] | None = None,
 ) -> SweepReport:
     """Run ``specs`` as a crash-safe, resumable sweep.
@@ -226,10 +225,7 @@ def run_sweep(
     a journal).  ``on_error`` defaults to ``"skip"`` here — a sweep
     durable enough to want a manifest usually also wants to outlive one
     bad spec; failures are journaled and reported, and a later resume
-    retries them.  ``engine`` selects the simulation core for specs
-    that do not pin one; lane choice never enters the manifest digest
-    or the cache keys, so a sweep may be resumed under a different
-    engine and continues exactly where it left off.
+    retries them.
     """
     runner = BatchRunner(
         max_workers=max_workers,
@@ -239,7 +235,6 @@ def run_sweep(
         aggregates_only=aggregates_only,
         on_error=on_error,
         retries=retries,
-        engine=engine,
     )
     if default_n_jobs is not None:
         normalized = [normalize_spec(spec, default_n_jobs) for spec in specs]

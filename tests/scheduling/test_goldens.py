@@ -116,8 +116,9 @@ def test_powercap_golden_actually_caps():
 
 
 def render_golden(spec: RunSpec, tmp_path: Path) -> bytes:
-    """Simulate ``spec`` and return its schedule export, byte for byte."""
-    result = Simulation(spec, validate=True).run()
+    """Simulate ``spec`` on the reference core and return its schedule
+    export, byte for byte."""
+    result = Simulation(spec.with_engine("reference"), validate=True).run()
     scratch = tmp_path / "export.csv"
     outcomes_to_csv(result, scratch)
     return scratch.read_bytes()
@@ -151,9 +152,9 @@ def test_golden_trace_byte_stable_columnar(name, tmp_path, update_goldens):
     core does not cover), so this twin renders with validation off and
     the lane pinned to ``columnar`` — the fused core for the plain
     DVFS/no-DVFS specs, the reference fallback for the power-cap and
-    sleep specs.  Either way the exported bytes must equal the fixture.
+    sleep specs and for every spec without numpy.  Either way the
+    exported bytes must equal the fixture.
     """
-    pytest.importorskip("numpy", reason="the columnar lane needs numpy")
     if update_goldens:
         pytest.skip("fixtures are being rewritten by the reference lane in this run")
     spec = GOLDEN_SPECS[name].with_engine("columnar")

@@ -194,7 +194,7 @@ class TestLeaseWatchdog:
     def test_wedged_slice_fails_structured_and_releases_slot(self):
         # A delay fault longer than the lease wedges the first slice;
         # the watchdog must cancel it, fail the job with lease_expired,
-        # and free the slot for the follow-up submission.
+        # and free its ledger slot.
         plan = FaultPlan.of(
             FaultRule("worker.slice", "delay", at=2, delay_seconds=2.0)
         )
@@ -208,9 +208,14 @@ class TestLeaseWatchdog:
                 assert "lease" in job.error["message"]
                 assert server.stats()["lease_expirations"] == 1
                 assert server._ledger.snapshot() == {}
-                follow_up, _ = server.submit(SPEC)
-                wait_terminal(follow_up)
-                assert follow_up.state == "done"
+        # The follow-up goes to a daemon with the default lease: under
+        # REPRO_SANITIZE=1 one healthy 2000-event slice can take longer
+        # than the 0.25 s lease above.
+        with ReproServer(max_workers=2, slice_events=2000, quota=QuotaPolicy()) as server:
+            follow_up, _ = server.submit(SPEC)
+            wait_terminal(follow_up)
+            assert follow_up.state == "done"
+            assert follow_up.result_bytes == expected_bytes(SPEC)
 
     def test_healthy_runs_never_trip_the_watchdog(self):
         quota = QuotaPolicy(lease_seconds=0.5)

@@ -1,17 +1,18 @@
-"""Engine lanes: registry resolution, spec neutrality, structured errors.
+"""Engine lanes: automatic choice, pins, spec neutrality, fallback.
 
 The lane contract has three legs, each pinned here:
 
-1. *Resolution* — ``spec.engine`` → ``REPRO_ENGINE`` → ``"reference"``,
-   with unknown/unavailable lanes failing fast as
-   :class:`~repro.serialize.SpecValidationError` (field ``engine``).
+1. *Resolution* — ``spec.engine`` → ``REPRO_ENGINE`` → automatic
+   (``columnar`` when numpy is importable, ``reference`` otherwise), and
+   ``Simulation.run()`` dispatches through the resolved
+   :data:`~repro.registry.ENGINES` entry.
 2. *Neutrality* — which lane runs a spec is execution metadata: cache
    keys, canonical spec JSON, equality and hashing are all identical
-   with and without an engine selection, so cached results are shared
-   across lanes.
-3. *Surfacing* — the CLI, the serve daemon and the API all turn an
-   unavailable lane into the structured ``{error: {code, message,
-   field}}`` document (exit code 3 / HTTP 400), not a traceback.
+   with and without an engine pin, so cached results are shared across
+   lanes, and nothing outside the process (a submitted document) can
+   choose a lane.
+3. *Fallback* — a ``columnar`` pin the fused core cannot serve (here:
+   numpy missing) runs the reference core, byte-identically.
 
 The byte-identity of the lanes themselves is pinned by the differential
 tests in ``test_lane_differential.py`` and the golden-trace suite.
@@ -24,17 +25,11 @@ import json
 import pytest
 
 from repro.api import Simulation
+from repro.batch import BatchRunner
 from repro.experiments.config import PolicySpec, RunSpec
-from repro.registry import ENGINES
-from repro.serialize import SpecValidationError, spec_key, spec_to_dict
-from repro.sim.lanes import (
-    DEFAULT_ENGINE,
-    ENGINE_ENV,
-    check_engine_available,
-    check_engine_name,
-    resolve_engine_name,
-    resolve_lane,
-)
+from repro.registry import ENGINES, RegistryError
+from repro.serialize import result_to_dict, spec_from_dict, spec_key, spec_to_dict
+from repro.sim.lanes import ENGINE_ENV, resolve_engine_name
 
 
 def _numpy_available() -> bool:
@@ -48,45 +43,82 @@ def _numpy_available() -> bool:
 SPEC = RunSpec(workload="SDSC", n_jobs=50, seed=7, policy=PolicySpec.power_aware(2.0, 4))
 
 
+def _canonical(result) -> str:
+    return json.dumps(result_to_dict(result), sort_keys=True)
+
+
+class _Recorder:
+    """An ``ENGINES`` entry that notes its lane's name, then delegates."""
+
+    def __init__(self, lane, calls: list[str]) -> None:
+        self._lane = lane
+        self._calls = calls
+
+    def run(self, simulation):
+        self._calls.append(self._lane.name)
+        return self._lane.run(simulation)
+
+
+@pytest.fixture
+def dispatched(monkeypatch):
+    """The lane names ``Simulation.run()`` dispatched through, in order."""
+    monkeypatch.delenv(ENGINE_ENV, raising=False)
+    calls: list[str] = []
+    lanes = {name: ENGINES.get(name) for name in ENGINES.names()}
+    for name, lane in lanes.items():
+        ENGINES.add(name, _Recorder(lane, calls), overwrite=True)
+    try:
+        yield calls
+    finally:
+        for name, lane in lanes.items():
+            ENGINES.add(name, lane, overwrite=True)
+
+
 class TestResolution:
     def test_both_lanes_registered(self):
         assert "reference" in ENGINES
         assert "columnar" in ENGINES
 
-    def test_reference_always_available(self):
-        assert ENGINES.get(DEFAULT_ENGINE).available()
-
-    def test_default_is_reference(self, monkeypatch):
+    def test_default_follows_numpy(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert resolve_engine_name(SPEC) == DEFAULT_ENGINE
+        expected = "columnar" if _numpy_available() else "reference"
+        assert resolve_engine_name(SPEC) == expected
 
     def test_environment_selects_lane(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "columnar")
-        assert resolve_engine_name(SPEC) == "columnar"
+        monkeypatch.setenv(ENGINE_ENV, "reference")
+        assert resolve_engine_name(SPEC) == "reference"
 
     def test_spec_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "columnar")
-        assert resolve_engine_name(SPEC.with_engine("reference")) == "reference"
+        monkeypatch.setenv(ENGINE_ENV, "reference")
+        assert resolve_engine_name(SPEC.with_engine("columnar")) == "columnar"
 
-    def test_unknown_environment_lane_is_spec_error(self, monkeypatch):
+    def test_unknown_environment_lane_fails(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "warp-drive")
-        with pytest.raises(SpecValidationError) as excinfo:
-            check_engine_available(SPEC)
-        assert excinfo.value.path == "engine"
-
-    def test_unknown_name_is_spec_error(self):
-        with pytest.raises(SpecValidationError) as excinfo:
-            check_engine_name("warp-drive")
-        assert excinfo.value.path == "engine"
+        with pytest.raises(RegistryError, match="unknown engine 'warp-drive'"):
+            Simulation(SPEC).run()
 
     def test_runspec_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):
             RunSpec(workload="SDSC", engine="warp-drive")
 
-    def test_resolve_lane_returns_runnable(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        lane = resolve_lane(SPEC)
-        assert lane.name == DEFAULT_ENGINE
+
+class TestAutomaticDispatch:
+    """An unpinned spec runs on the fastest lane this interpreter has."""
+
+    @pytest.mark.skipif(not _numpy_available(), reason="needs numpy")
+    def test_dispatches_columnar_with_numpy(self, dispatched):
+        Simulation(SPEC).run()
+        assert dispatched == ["columnar"]
+
+    @pytest.mark.skipif(_numpy_available(), reason="exercises the real numpy-less probe")
+    def test_dispatches_reference_without_numpy(self, dispatched):
+        Simulation(SPEC).run()
+        assert dispatched == ["reference"]
+
+    @pytest.mark.parametrize("engine", ["reference", "columnar"])
+    def test_pin_overrides_automatic_choice(self, dispatched, engine):
+        Simulation(SPEC.with_engine(engine)).run()
+        assert dispatched == [engine]
 
 
 class TestLaneNeutrality:
@@ -107,127 +139,34 @@ class TestLaneNeutrality:
         assert SPEC.with_engine("columnar") == SPEC.with_engine("reference") == SPEC
         assert hash(SPEC.with_engine("columnar")) == hash(SPEC)
 
-    @pytest.mark.skipif(not _numpy_available(), reason="columnar lane needs numpy")
     def test_cache_entries_shared_across_lanes(self, tmp_path):
         """A result cached under one lane satisfies the other lane."""
-        from repro.batch import BatchRunner
-
-        writer = BatchRunner(cache_dir=tmp_path, engine="reference")
-        (first,) = writer.run([SPEC])
+        writer = BatchRunner(cache_dir=tmp_path)
+        (first,) = writer.run([SPEC.with_engine("reference")])
         assert writer.cache_misses == 1
-        reader = BatchRunner(cache_dir=tmp_path, engine="columnar")
-        (second,) = reader.run([SPEC])
+        reader = BatchRunner(cache_dir=tmp_path)
+        (second,) = reader.run([SPEC.with_engine("columnar")])
         assert reader.cache_hits == 1 and reader.cache_misses == 0
         assert first.outcomes == second.outcomes
 
-    def test_batch_runner_rejects_unknown_engine(self):
-        from repro.batch import BatchRunner
+    def test_batch_runner_respects_spec_pinned_engine(self, dispatched):
+        """The runner keeps a spec's lane pin all the way to dispatch."""
+        BatchRunner(max_workers=0).run([SPEC.with_engine("reference")])
+        assert dispatched == ["reference"]
 
-        with pytest.raises(SpecValidationError):
-            BatchRunner(engine="warp-drive")
-
-    @pytest.mark.skipif(not _numpy_available(), reason="columnar lane needs numpy")
-    def test_batch_runner_respects_spec_pinned_engine(self, tmp_path):
-        """A spec that pins its own lane keeps it under a runner default."""
-        from repro.batch import BatchRunner
-
-        runner = BatchRunner(engine="columnar")
-        pinned = SPEC.with_engine("reference")
-        normalized = runner._prepare([pinned, SPEC], {})
-        assert normalized[0].engine == "reference"
-        assert normalized[1].engine == "columnar"
+    def test_submitted_document_cannot_pin_a_lane(self):
+        """A submit document's ``engine`` key is ignored like any unknown key."""
+        document = {**spec_to_dict(SPEC), "engine": "reference"}
+        assert spec_from_dict(document).engine is None
 
 
-class _Unavailable:
-    """Force the columnar lane unavailable regardless of numpy."""
+class TestColumnarFallback:
+    """A columnar pin without numpy runs the reference core, byte for byte."""
 
-    @pytest.fixture(autouse=True)
-    def _make_unavailable(self, monkeypatch):
-        lane = ENGINES.get("columnar")
-        monkeypatch.setattr(lane, "available", lambda: False)
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
+    def test_columnar_pin_without_numpy_runs_reference(self, monkeypatch):
+        import repro.sim.columnar
 
-
-class TestUnavailableLaneSurfacing(_Unavailable):
-    """All three entry points speak the structured error document.
-
-    The ``tests-no-numpy`` CI lane runs the same three paths with the
-    lane *genuinely* unavailable (no monkeypatch needed); here the
-    availability probe is forced off so the contract is also pinned on
-    developer machines that do have numpy.
-    """
-
-    def test_api_raises_spec_validation_error(self):
-        with pytest.raises(SpecValidationError) as excinfo:
-            Simulation(SPEC.with_engine("columnar")).run()
-        assert excinfo.value.path == "engine"
-        assert "numpy" in excinfo.value.reason
-
-    def test_cli_structured_error_exit_code_3(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["--json", "--jobs", "50", "run", "SDSC", "--engine", "columnar"]
-        )
-        assert code == 3
-        document = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert document["error"]["code"] == "invalid_spec"
-        assert document["error"]["field"] == "engine"
-        assert "numpy" in document["error"]["message"]
-
-    def test_cli_plain_error_mentions_engine(self, capsys):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--jobs", "50", "run", "SDSC", "--engine", "columnar"])
-        assert "engine" in str(excinfo.value)
-
-    def test_serve_submit_rejected_400(self):
-        import urllib.error
-        import urllib.request
-
-        from repro.serve.server import ReproServer
-
-        server = ReproServer("127.0.0.1", 0, max_workers=1)
-        server.start_in_thread()
-        try:
-            document = spec_to_dict(SPEC)
-            document["engine"] = "columnar"
-            request = urllib.request.Request(
-                f"http://{server.address}/runs",
-                data=json.dumps(document).encode("utf-8"),
-                headers={"Content-Type": "application/json"},
-            )
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(request)
-            assert excinfo.value.code == 400
-            body = json.loads(excinfo.value.read())
-            assert body["error"]["code"] == "invalid_spec"
-            assert body["error"]["field"] == "engine"
-        finally:
-            server.stop()
-
-    def test_reference_still_runs(self):
-        result = Simulation(SPEC.with_engine("reference")).run()
-        assert len(result.outcomes) == SPEC.n_jobs
-
-
-@pytest.mark.skipif(_numpy_available(), reason="exercises the real numpy-less probe")
-class TestGenuinelyWithoutNumpy:
-    """The no-numpy CI lane: the availability probe itself is honest."""
-
-    def test_columnar_lane_reports_unavailable(self):
-        lane = ENGINES.get("columnar")
-        assert not lane.available()
-        assert "numpy" in lane.unavailable_reason()
-
-    def test_api_raises_spec_validation_error(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        with pytest.raises(SpecValidationError) as excinfo:
-            Simulation(SPEC.with_engine("columnar")).run()
-        assert excinfo.value.path == "engine"
-
-    def test_environment_selected_columnar_fails_fast(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "columnar")
-        with pytest.raises(SpecValidationError):
-            check_engine_available(SPEC)
+        monkeypatch.setattr(repro.sim.columnar, "_np", None)
+        columnar = Simulation(SPEC.with_engine("columnar")).run()
+        reference = Simulation(SPEC.with_engine("reference")).run()
+        assert _canonical(columnar) == _canonical(reference)
