@@ -49,7 +49,6 @@ from repro.core.frequency_policy import (
     FrequencyPolicy,
     GearCappedPolicy,
     NO_WQ_LIMIT,
-    SchedulingContext,
 )
 from repro.core.gears import Gear, GearSet, PAPER_GEAR_SET
 from repro.core.util_policy import UtilizationTriggeredPolicy
@@ -149,7 +148,6 @@ __all__ = [
     "SLEEP_POLICIES",
     "Scheduler",
     "SchedulerConfig",
-    "SchedulingContext",
     "ServeClient",
     "ServeError",
     "SessionCancelled",

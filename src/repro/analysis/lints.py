@@ -51,7 +51,7 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 __all__ = ["Finding", "RULE_DOCS", "lint_file", "run_lints"]
 
@@ -444,8 +444,3 @@ def run_lints(package_root: Path | str | None = None) -> list[Finding]:
         findings.extend(lint_file(path, rel))
     findings.extend(check_registry_surface(root))
     return sorted(findings, key=lambda f: (f.path, f.line, f.rule))
-
-
-def format_findings(findings: Iterable[Finding]) -> str:
-    """Human-readable report block (one line per finding)."""
-    return "\n".join(str(finding) for finding in findings)

@@ -1,37 +1,25 @@
-"""Processor pool with First Fit resource selection.
+"""Processor pool: count-only bookkeeping of free processors.
 
 The paper uses First Fit as the resource-selection policy inside Alvio:
 a job takes the lowest-numbered free processors.  With no topology
 constraints the chosen identities cannot change schedulability, energy
-or BSLD, so the pool offers two modes:
-
-* ``track_ids=False`` (default): count-only bookkeeping — O(1) per
-  allocation, used by the simulation hot path;
-* ``track_ids=True``: explicit lowest-id-first selection backed by a
-  min-heap, used by tests, visualisation and any future topology-aware
-  selection policy.
+or BSLD, so the pool tracks only how many processors are free — O(1)
+per allocation.
 """
 
 from __future__ import annotations
-
-import heapq
-
-from repro.cluster.allocation import Allocation
 
 __all__ = ["ProcessorPool"]
 
 
 class ProcessorPool:
-    """Tracks which processors are free on a machine."""
+    """Tracks how many processors are free on a machine."""
 
-    def __init__(self, total_cpus: int, track_ids: bool = False) -> None:
+    def __init__(self, total_cpus: int) -> None:
         if total_cpus <= 0:
             raise ValueError(f"pool needs at least 1 CPU, got {total_cpus}")
         self._total = total_cpus
         self._free = total_cpus
-        self._track_ids = track_ids
-        self._free_heap: list[int] | None = list(range(total_cpus)) if track_ids else None
-        # range() is already sorted, so the list is a valid min-heap.
 
     # -- introspection -------------------------------------------------------
     @property
@@ -46,16 +34,12 @@ class ProcessorPool:
     def busy_cpus(self) -> int:
         return self._total - self._free
 
-    @property
-    def tracks_ids(self) -> bool:
-        return self._track_ids
-
     def fits(self, size: int) -> bool:
         return 0 < size <= self._free
 
     # -- allocation ----------------------------------------------------------
-    def allocate(self, size: int) -> Allocation:
-        """Grant ``size`` processors, first-fit (lowest ids) when tracking.
+    def allocate(self, size: int) -> None:
+        """Grant ``size`` processors.
 
         Raises ``ValueError`` when the request cannot be satisfied; the
         scheduler is expected to have checked :meth:`fits` first.
@@ -65,23 +49,12 @@ class ProcessorPool:
         if size > self._free:
             raise ValueError(f"requested {size} CPUs but only {self._free} are free")
         self._free -= size
-        if self._free_heap is None:
-            return Allocation(size=size)
-        ids = tuple(heapq.heappop(self._free_heap) for _ in range(size))
-        return Allocation(size=size, cpu_ids=ids)
 
-    def release(self, allocation: Allocation) -> None:
-        """Return an allocation to the pool."""
-        if self._free + allocation.size > self._total:
+    def release(self, size: int) -> None:
+        """Return ``size`` processors to the pool."""
+        if self._free + size > self._total:
             raise ValueError(
-                f"releasing {allocation.size} CPUs would exceed the pool total "
+                f"releasing {size} CPUs would exceed the pool total "
                 f"({self._free} free of {self._total})"
             )
-        if self._free_heap is not None:
-            if allocation.cpu_ids is None:
-                raise ValueError("id-tracking pool got an allocation without CPU ids")
-            for cpu in allocation.cpu_ids:
-                if not 0 <= cpu < self._total:
-                    raise ValueError(f"CPU id {cpu} out of range 0..{self._total - 1}")
-                heapq.heappush(self._free_heap, cpu)
-        self._free += allocation.size
+        self._free += size

@@ -6,7 +6,6 @@ from repro.core.frequency_policy import (
     FixedGearPolicy,
     FrequencyPolicy,
     NO_WQ_LIMIT,
-    SchedulingContext,
 )
 from repro.core.gears import Gear, GearSet, PAPER_GEAR_SET, single_gear_set
 from repro.core.util_policy import UtilizationTriggeredPolicy
@@ -20,7 +19,6 @@ __all__ = [
     "GearSet",
     "NO_WQ_LIMIT",
     "PAPER_GEAR_SET",
-    "SchedulingContext",
     "UtilizationTriggeredPolicy",
     "single_gear_set",
 ]

@@ -1,18 +1,51 @@
 """CPU-frequency assignment policies (the paper's core contribution).
 
 A frequency policy answers one question for the job scheduler: *at
-which gear should this job be scheduled, if at all?*  The policy
-receives a :class:`SchedulingContext` carrying everything Figures 1-2
-of the paper consult — the candidate's prospective wait time, the wait
-queue size and a per-gear feasibility callback — and returns a gear, or
-``None`` when the job should not be scheduled in this pass (only
-meaningful for backfill candidates; the queue head must always be
-schedulable).
+which gear should this job be scheduled, if at all?*  Every scheduler
+and both engine cores ask it through one scalar call::
+
+    policy.select(job, wait, wq_size, utilization, must_schedule,
+                  lowest_feasible=0, wait_for=None) -> int
+
+The answer is an index into the machine's ascending gear ladder
+(``GearSet.ascending()``, ``Flowest`` first), or ``-1`` to skip the job
+in this pass.  The arguments are everything Figures 1-2 of the paper
+consult:
+
+* ``wait`` — the candidate's prospective wait time at ``Ftop`` (``WT``
+  of Eq. 2);
+* ``wq_size`` — jobs waiting on execution, *excluding* the candidate;
+* ``utilization`` — fraction of machine CPUs busy right now (read by the
+  utilisation-triggered comparator);
+* ``must_schedule`` — True for the queue head (``MakeJobReservation``),
+  which must always get a gear; False for a backfill candidate
+  (``BackfillJob``), which may be skipped;
+* ``lowest_feasible`` — the scheduler's admission test, as an index;
+* ``wait_for`` — the wait at each ladder index, for schedulers whose
+  start time depends on the gear.
+
+**The suffix rule.**  A slower gear only stretches a job: the β time
+coefficient is non-increasing along the ascending ladder.  So the gears
+at which a candidate passes a "fits in time" admission test always form
+a suffix of the ladder, and feasibility is one index: gears at
+``lowest_feasible`` and above are admissible, and a value of
+``len(ladder)`` admits none.  In a may-skip decision a policy must not
+return an index below it; schedulers rely on that to prune candidates
+no gear can admit.  EASY backfilling computes the index with
+:func:`~repro.scheduling.easy.lowest_feasible`; queue heads, FCFS and
+conservative backfilling pass 0.
+
+**Gear-dependent waits.**  Under EASY the start does not depend on the
+gear, so ``wait`` holds at every gear.  Under conservative backfilling
+a longer (slower) job may only fit into a later hole; such a scheduler
+passes ``wait_for(index) -> float``, and ``wait`` is then
+``wait_for(top)``.  A slower gear never starts earlier.
 
 The policy is deliberately scheduler-agnostic: the same object plugs
-into EASY backfilling, plain FCFS and conservative backfilling, which
-is exactly the portability claim of the paper ("the frequency scaling
-algorithm can be applied with any parallel job scheduling policy").
+into EASY backfilling, plain FCFS and conservative backfilling, and
+into both engine cores, which is exactly the portability claim of the
+paper ("the frequency scaling algorithm can be applied with any
+parallel job scheduling policy").
 """
 
 from __future__ import annotations
@@ -28,7 +61,6 @@ if TYPE_CHECKING:  # imported for annotations only; avoids package cycles
     from repro.scheduling.job import Job
 
 __all__ = [
-    "SchedulingContext",
     "FrequencyPolicy",
     "FixedGearPolicy",
     "BsldThresholdPolicy",
@@ -40,101 +72,14 @@ __all__ = [
 NO_WQ_LIMIT: int | None = None
 
 
-def _always_feasible(gear: Gear) -> bool:
-    return True
-
-
-class SchedulingContext:
-    """Inputs available to a frequency decision.
-
-    A ``__slots__`` value class (not a dataclass): schedulers build one
-    per backfill candidate, so construction cost is on the hot path.
-
-    Attributes
-    ----------
-    now:
-        Current simulation time.
-    wait_time_for:
-        ``WT`` of Eq. (2) as a function of the candidate gear: the wait
-        the tentative allocation would impose (scheduled start - submit
-        time).  Under EASY the start does not depend on the gear (the
-        running-jobs free profile is non-decreasing in time), but under
-        conservative backfilling a longer (slower) job may only fit
-        later, so ``WT`` is gear-dependent in general.
-    wq_size:
-        Jobs currently waiting on execution, *excluding* the candidate.
-    utilization:
-        Fraction of machine CPUs busy right now (used by the
-        utilisation-triggered comparator policy).
-    must_schedule:
-        True for the queue head (``MakeJobReservation``), which EASY
-        must always schedule; False for backfill candidates
-        (``BackfillJob``), which may be skipped.
-    feasible:
-        Per-gear admission test.  For the queue head this is always
-        true; for a backfill candidate it encodes "fits now without
-        violating the head's reservation" at that gear's stretched
-        duration.  Policies must not return a gear this test rejects in
-        a may-skip (``must_schedule=False``) context — schedulers rely
-        on it to prune candidates no gear can admit.
-    """
-
-    __slots__ = (
-        "now", "wait_time_for", "wq_size", "utilization", "must_schedule",
-        "feasible", "fixed_wait",
-    )
-
-    def __init__(
-        self,
-        now: float,
-        wait_time_for: Callable[[Gear], float],
-        wq_size: int,
-        utilization: float,
-        must_schedule: bool,
-        feasible: Callable[[Gear], bool] = _always_feasible,
-    ) -> None:
-        self.now = now
-        self.wait_time_for = wait_time_for
-        self.wq_size = wq_size
-        self.utilization = utilization
-        self.must_schedule = must_schedule
-        self.feasible = feasible
-        self.fixed_wait = None
-
-    @classmethod
-    def with_fixed_wait(
-        cls,
-        *,
-        now: float,
-        wait_time: float,
-        wq_size: int,
-        utilization: float,
-        must_schedule: bool,
-        feasible: Callable[[Gear], bool] = _always_feasible,
-    ) -> "SchedulingContext":
-        """Context whose wait time is the same for every gear (EASY/FCFS).
-
-        ``fixed_wait`` carries the constant, letting policies skip the
-        per-gear ``wait_time_for`` indirection on the hot path.
-        """
-        ctx = cls.__new__(cls)
-        ctx.now = now
-        ctx.wait_time_for = lambda gear: wait_time
-        ctx.wq_size = wq_size
-        ctx.utilization = utilization
-        ctx.must_schedule = must_schedule
-        ctx.feasible = feasible
-        ctx.fixed_wait = wait_time
-        return ctx
-
-
 class FrequencyPolicy(ABC):
-    """Base class; concrete policies implement :meth:`select_gear`."""
+    """Base class; concrete policies implement :meth:`select`."""
 
     def bind(self, gears: GearSet, time_model: BetaTimeModel) -> None:
         """Attach machine facts; called once by the scheduler."""
         self._gears = gears
         self._time_model = time_model
+        self._top = len(gears) - 1  # Ftop's index on the ascending ladder
 
     @property
     def gears(self) -> GearSet:
@@ -145,8 +90,17 @@ class FrequencyPolicy(ABC):
         return self._time_model
 
     @abstractmethod
-    def select_gear(self, job: Job, ctx: SchedulingContext) -> Gear | None:
-        """The gear to schedule ``job`` at, or ``None`` to skip it."""
+    def select(
+        self,
+        job: Job,
+        wait: float,
+        wq_size: int,
+        utilization: float,
+        must_schedule: bool,
+        lowest_feasible: int = 0,
+        wait_for: Callable[[int], float] | None = None,
+    ) -> int:
+        """The ladder index to schedule ``job`` at, or ``-1`` to skip it."""
 
     def describe(self) -> str:
         return type(self).__name__
@@ -170,15 +124,21 @@ class FixedGearPolicy(FrequencyPolicy):
 
     def bind(self, gears: GearSet, time_model: BetaTimeModel) -> None:
         super().bind(gears, time_model)
-        self._gear = (
-            gears.top if self._frequency is None else gears.by_frequency(self._frequency)
-        )
+        gear = gears.top if self._frequency is None else gears.by_frequency(self._frequency)
+        self._index = gears.index(gear)
 
-    def select_gear(self, job: Job, ctx: SchedulingContext) -> Gear | None:
-        feasible = ctx.feasible
-        if feasible is _always_feasible or feasible(self._gear):
-            return self._gear
-        return None
+    def select(
+        self,
+        job: Job,
+        wait: float,
+        wq_size: int,
+        utilization: float,
+        must_schedule: bool,
+        lowest_feasible: int = 0,
+        wait_for: Callable[[int], float] | None = None,
+    ) -> int:
+        index = self._index
+        return index if index >= lowest_feasible else -1
 
     def describe(self) -> str:
         label = "top" if self._frequency is None else f"{self._frequency:g}GHz"
@@ -236,71 +196,66 @@ class BsldThresholdPolicy(FrequencyPolicy):
 
     def bind(self, gears: GearSet, time_model: BetaTimeModel) -> None:
         super().bind(gears, time_model)
-        # Hot-path tables: the ascending ladder with the default-β time
-        # coefficient of every gear, resolved once instead of per decision.
-        self._ladder = gears.ascending()
-        self._top_only = (gears.top,)
-        self._default_coefs = tuple(
-            time_model.coefficient(gear.frequency) for gear in self._ladder
-        )
-        self._top_index = len(self._ladder) - 1
+        # The default-β coefficient of every gear, resolved once instead
+        # of per decision.
+        self._frequencies = gears.frequencies
+        self._default_coefs = time_model.coefficients(self._frequencies)
 
     # -- the algorithm of Figures 1 and 2 ------------------------------------
-    def select_gear(self, job: Job, ctx: SchedulingContext) -> Gear | None:
-        top = self._ladder[self._top_index]
-        wq_threshold = self.wq_threshold
-        if wq_threshold is None or ctx.wq_size <= wq_threshold:
-            candidates = self._ladder
-            start = 0
-        else:
-            candidates = self._top_only
-            start = self._top_index
-        feasible = ctx.feasible
-        check_feasible = feasible is not _always_feasible
-        check_top = self.strict_top_backfill and not ctx.must_schedule
-        beta = job.beta
+    def select(
+        self,
+        job: Job,
+        wait: float,
+        wq_size: int,
+        utilization: float,
+        must_schedule: bool,
+        lowest_feasible: int = 0,
+        wait_for: Callable[[int], float] | None = None,
+    ) -> int:
+        top = self._top
         requested = job.requested_time
         time_threshold = self.bsld_time_threshold
         denominator = time_threshold if time_threshold > requested else requested
         bsld_threshold = self.bsld_threshold
-        fixed_wait = ctx.fixed_wait
-        wait_time_for = ctx.wait_time_for
-        coefficient = self._time_model.coefficient
-        if start == 0:
+        check_top = self.strict_top_backfill and not must_schedule
+        wq_threshold = self.wq_threshold
+        if wq_threshold is not None and wq_size > wq_threshold:
+            start = top  # too many jobs waiting: Ftop only
+        else:
             # Predicted BSLD is monotone non-increasing in frequency (the
             # coefficient shrinks to exactly 1 at Ftop, and a shorter job
             # never starts later), so if even Ftop misses the threshold no
             # reduced gear can pass — the whole ladder walk collapses to
             # the loop's top-gear outcome.
-            wait_top = fixed_wait if fixed_wait is not None else wait_time_for(top)
-            bsld_top = (wait_top + requested) / denominator
+            bsld_top = (wait + requested) / denominator
             if bsld_top >= bsld_threshold and bsld_top >= 1.0:
-                if not check_top and (not check_feasible or feasible(top)):
+                if not check_top and lowest_feasible <= top:
                     return top
-                return top if ctx.must_schedule else None
-        for offset, gear in enumerate(candidates):
-            if check_feasible and not feasible(gear):
-                continue
-            if gear is top and not check_top:
-                return gear
-            if beta is None:
-                coef = self._default_coefs[start + offset]
-            else:
-                coef = coefficient(gear.frequency, beta)
-            wait = fixed_wait if fixed_wait is not None else wait_time_for(gear)
+                return top if must_schedule else -1
+            start = 0
+        if lowest_feasible > start:
+            start = lowest_feasible
+        beta = job.beta
+        if beta is None:
+            coefs = self._default_coefs
+        else:
+            coefs = self._time_model.coefficients(self._frequencies, beta)
+        for index in range(start, top + 1):
+            if index == top and not check_top:
+                return top
+            if wait_for is not None:
+                wait = wait_for(index)
             # Inline Eq. (2): job validation guarantees requested > 0, so
             # the denominator is always positive here (predict() keeps
             # the fully-validated scalar path for external callers).
-            bsld = (wait + requested * coef) / denominator
+            bsld = (wait + requested * coefs[index]) / denominator
             if bsld < 1.0:
                 bsld = 1.0
             if bsld < bsld_threshold:
-                return gear
-        if ctx.must_schedule:
-            # The queue head must hold a reservation even when no gear
-            # satisfies the threshold; EASY admission wins over DVFS.
-            return top
-        return None
+                return index
+        # The queue head must hold a reservation even when no gear
+        # satisfies the threshold; EASY admission wins over DVFS.
+        return top if must_schedule else -1
 
     def predict(self, job: Job, gear: Gear, wait_time: float) -> float:
         """Eq. (2) for this job at this gear under ``wait_time``."""
@@ -311,15 +266,6 @@ class BsldThresholdPolicy(FrequencyPolicy):
             coefficient=coefficient,
             threshold=self.bsld_time_threshold,
         )
-
-    def _reduction_allowed(self, ctx: SchedulingContext) -> bool:
-        return self.wq_threshold is None or ctx.wq_size <= self.wq_threshold
-
-    def _top_needs_bsld(self, ctx: SchedulingContext) -> bool:
-        """Whether scheduling at Ftop is itself gated by the BSLD check."""
-        if ctx.must_schedule:
-            return False  # reservations always fall back to Ftop
-        return self.strict_top_backfill
 
     def describe(self) -> str:
         wq = "NO" if self.wq_threshold is None else str(self.wq_threshold)
@@ -334,7 +280,7 @@ class GearCappedPolicy(FrequencyPolicy):
     :meth:`~repro.scheduling.base.Scheduler.set_gear_cap` (and the
     ``power_cap`` instrument): the inner policy decides as usual, and
     any selection above ``max_frequency`` is stepped down to the
-    highest capped gear that the scheduling context still admits.  A
+    highest capped gear, if the admission test still allows it.  A
     backfill candidate whose capped (longer-running) variant no longer
     fits is skipped; the queue head always schedules at the capped
     gear, mirroring the EASY admission-over-DVFS rule.
@@ -360,17 +306,28 @@ class GearCappedPolicy(FrequencyPolicy):
     def bind(self, gears: GearSet, time_model: BetaTimeModel) -> None:
         super().bind(gears, time_model)
         self._inner.bind(gears, time_model)
-        eligible = [g for g in gears if g.frequency <= self._max_frequency]
-        self._cap_gear = eligible[-1] if eligible else gears.lowest
+        eligible = [i for i, g in enumerate(gears) if g.frequency <= self._max_frequency]
+        self._cap = eligible[-1] if eligible else 0
 
-    def select_gear(self, job: Job, ctx: SchedulingContext) -> Gear | None:
-        gear = self._inner.select_gear(job, ctx)
-        if gear is None or gear.frequency <= self._cap_gear.frequency:
-            return gear
-        capped = self._cap_gear
-        if ctx.must_schedule or ctx.feasible(capped):
-            return capped
-        return None
+    def select(
+        self,
+        job: Job,
+        wait: float,
+        wq_size: int,
+        utilization: float,
+        must_schedule: bool,
+        lowest_feasible: int = 0,
+        wait_for: Callable[[int], float] | None = None,
+    ) -> int:
+        index = self._inner.select(
+            job, wait, wq_size, utilization, must_schedule, lowest_feasible, wait_for
+        )
+        cap = self._cap
+        if index <= cap:
+            return index
+        if must_schedule or cap >= lowest_feasible:
+            return cap
+        return -1
 
     def describe(self) -> str:
         return f"{self._inner.describe()} | cap<={self._max_frequency:g}GHz"

@@ -11,10 +11,9 @@ the paper's predicted-BSLD gate addresses.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-from repro.core.frequency_policy import FrequencyPolicy, SchedulingContext
-from repro.core.gears import Gear
+from repro.core.frequency_policy import FrequencyPolicy
 
 if TYPE_CHECKING:  # imported for annotations only; avoids package cycles
     from repro.scheduling.job import Job
@@ -50,24 +49,30 @@ class UtilizationTriggeredPolicy(FrequencyPolicy):
             raise ValueError("gear indices must be non-negative")
         self._steps = tuple(steps)
 
-    def select_gear(self, job: Job, ctx: SchedulingContext) -> Gear | None:
-        gear = self._gear_for_utilization(ctx.utilization)
-        if ctx.feasible(gear):
-            return gear
-        # Fall back towards Ftop: a shorter (faster) run is easier to fit.
-        for candidate in self.gears.at_or_above(gear.frequency):
-            if ctx.feasible(candidate):
-                return candidate
-        if ctx.must_schedule:
-            return self.gears.top
-        return None
-
-    def _gear_for_utilization(self, utilization: float) -> Gear:
-        ladder = self.gears.ascending()
-        for bound, index in self._steps:
+    def select(
+        self,
+        job: Job,
+        wait: float,
+        wq_size: int,
+        utilization: float,
+        must_schedule: bool,
+        lowest_feasible: int = 0,
+        wait_for: Callable[[int], float] | None = None,
+    ) -> int:
+        top = self._top
+        index = top
+        for bound, step in self._steps:
             if utilization < bound:
-                return ladder[min(index, len(ladder) - 1)]
-        return self.gears.top
+                index = step if step < top else top
+                break
+        # Fall back towards Ftop: a shorter (faster) run is easier to
+        # fit, and the first feasible gear at or above the mapped one is
+        # the suffix's start.
+        if index < lowest_feasible:
+            index = lowest_feasible
+        if index <= top:
+            return index
+        return top if must_schedule else -1
 
     def describe(self) -> str:
         parts = ", ".join(f"<{b:g}->g{i}" for b, i in self._steps)

@@ -15,6 +15,7 @@ work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.gears import Gear, GearSet
 
@@ -79,6 +80,17 @@ class BetaTimeModel:
         value = b * (self.fmax / frequency - 1.0) + 1.0
         memo[(frequency, beta)] = value
         return value
+
+    def coefficients(
+        self, frequencies: Sequence[float], beta: float | None = None
+    ) -> tuple[float, ...]:
+        """:meth:`coefficient` at each of ``frequencies``, in order.
+
+        Along an ascending gear ladder the result is non-increasing —
+        the suffix rule frequency policies and admission tests rely on.
+        """
+        coefficient = self.coefficient
+        return tuple(coefficient(frequency, beta) for frequency in frequencies)
 
     def coefficient_for(self, gear: Gear, beta: float | None = None) -> float:
         return self.coefficient(gear.frequency, beta)

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.analysis.sanitize import enabled as sanitize_enabled
-from repro.cluster.allocation import Allocation
 from repro.cluster.machine import Machine
 from repro.cluster.power import NodePowerManager, SleepPolicy
 from repro.cluster.processors import ProcessorPool
 from repro.core.dynamic_boost import DynamicBoostConfig, boost_plan
-from repro.core.frequency_policy import FrequencyPolicy, GearCappedPolicy, SchedulingContext
+from repro.core.frequency_policy import FrequencyPolicy, GearCappedPolicy
 from repro.core.gears import Gear
 from repro.power.energy import EnergyAccounting, SleepEnergyBreakdown
 from repro.power.model import PowerModel
@@ -51,10 +50,6 @@ class SchedulerConfig:
 
     Attributes
     ----------
-    track_processor_ids:
-        Use explicit first-fit CPU identities (slower; on a flat
-        machine every CPU is interchangeable, so identities do not
-        affect any reported metric).
     validate:
         Enable per-pass invariant assertions (used heavily in tests).
     boost:
@@ -81,7 +76,6 @@ class SchedulerConfig:
         energy-book signs.  Zero cost when off.
     """
 
-    track_processor_ids: bool = False
     validate: bool = False
     boost: DynamicBoostConfig | None = None
     record_timeline: bool = False
@@ -104,11 +98,10 @@ class _RunningJob:
         "estimated_end",
         "finish_handle",
         "ever_reduced",
-        "allocation",
         "estimate_entry",
     )
 
-    def __init__(self, job: Job, gear: Gear, start: float, allocation: Allocation) -> None:
+    def __init__(self, job: Job, gear: Gear, start: float) -> None:
         self.job = job
         self.gear = gear
         self.first_gear = gear
@@ -119,7 +112,6 @@ class _RunningJob:
         self.estimated_end = start
         self.finish_handle = None
         self.ever_reduced = False
-        self.allocation = allocation
         self.estimate_entry: tuple[float, int, int] | None = None
 
 
@@ -140,6 +132,11 @@ class Scheduler(ABC):
         self._policy = policy
         self._time_model = BetaTimeModel.for_gear_set(machine.gears, beta)
         policy.bind(machine.gears, self._time_model)
+        # Policies answer with an index into the ascending ladder; the
+        # default-β coefficient of every gear is resolved once.
+        self._ladder = machine.gears.ascending()
+        self._frequencies = machine.gears.frequencies
+        self._default_coefs = self._time_model.coefficients(self._frequencies)
         if power_model is not None and power_model.gears != machine.gears:
             raise ValueError("power model and machine use different gear sets")
         self._power_model = power_model or PowerModel(gears=machine.gears)
@@ -318,11 +315,11 @@ class Scheduler(ABC):
 
         The cyclic garbage collector is paused for the duration of the
         event loop: a run allocates millions of short-lived, acyclic
-        objects (outcomes, handles, contexts), and periodic gen-0 scans
-        over that churn cost ~8% of wall time while reference counting
-        already reclaims everything.  The collector is restored — and
-        the few long-lived cycles (engine ↔ handlers) collected — the
-        moment the loop exits.
+        objects (outcomes, handles, running-job records), and periodic
+        gen-0 scans over that churn cost ~8% of wall time while
+        reference counting already reclaims everything.  The collector
+        is restored — and the few long-lived cycles (engine ↔ handlers)
+        collected — the moment the loop exits.
         """
         engine = self.prepare(jobs)
         was_enabled = gc.isenabled()
@@ -347,9 +344,7 @@ class Scheduler(ABC):
         validate_jobs(jobs, self._machine.total_cpus)
 
         self._engine = Engine()
-        self._pool = ProcessorPool(
-            self._machine.total_cpus, track_ids=self._config.track_processor_ids
-        )
+        self._pool = ProcessorPool(self._machine.total_cpus)
         self._accounting = EnergyAccounting(self._power_model)
         self._queue = JobQueue()
         self._running = {}
@@ -483,7 +478,7 @@ class Scheduler(ABC):
             running.gear, running.job.size, now - running.segment_start
         )
         self._accounting.count_job()
-        self._pool.release(running.allocation)
+        self._pool.release(running.job.size)
         if self._sleep is not None:
             self._sleep.release(running.job.size, now)
         self._drop_estimate(running)
@@ -582,25 +577,20 @@ class Scheduler(ABC):
             head = queue._jobs[queue._head]
             if not pool.fits(head.size):
                 break
-            ctx = SchedulingContext.with_fixed_wait(
-                now=now,
-                wait_time=now - head.submit_time,
-                wq_size=len(self._queue) - 1,
-                utilization=self._utilization(),
-                must_schedule=True,
+            index = self._policy.select(
+                head, now - head.submit_time, len(queue) - 1, self._utilization(), True
             )
-            gear = self._policy.select_gear(head, ctx)
-            if gear is None:
+            if index < 0:
                 raise SimulationError(
                     f"policy {self._policy.describe()} refused to schedule queue head "
-                    f"{head.job_id} (must_schedule contexts cannot be skipped)"
+                    f"{head.job_id} (must_schedule decisions cannot be skipped)"
                 )
-            self._queue.popleft()
-            self._start_job(now, head, gear)
+            queue.popleft()
+            self._start_job(now, head, self._ladder[index])
 
     def _start_job(self, now: float, job: Job, gear: Gear) -> _RunningJob:
         coefficient = self._time_model.coefficient(gear.frequency, job.beta)
-        allocation = self._pool.allocate(job.size)
+        self._pool.allocate(job.size)
         # A start that rouses sleeping nodes stalls for the wake
         # transition: the whole execution window stretches by the delay.
         # The job holds its processors from dispatch, but active power is
@@ -612,7 +602,7 @@ class Scheduler(ABC):
         if self._sleep is not None:
             delay, woken = self._sleep.acquire(job.size, now)
             begin = now + delay
-        running = _RunningJob(job, gear, now, allocation)
+        running = _RunningJob(job, gear, now)
         running.segment_start = begin
         running.actual_end = begin + job.runtime * coefficient
         estimated = begin + job.requested_time * coefficient
@@ -723,6 +713,12 @@ class Scheduler(ABC):
 
     def _utilization(self) -> float:
         return self._pool.busy_cpus / self._pool.total_cpus
+
+    def _coefficients(self, beta: float | None) -> tuple[float, ...]:
+        """A job's time coefficients along the ascending gear ladder."""
+        if beta is None:
+            return self._default_coefs
+        return self._time_model.coefficients(self._frequencies, beta)
 
     def _sanitize_pass(self, now: float) -> None:
         """Deep structural re-verification of every core structure.

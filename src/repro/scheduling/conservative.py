@@ -4,8 +4,11 @@ Unlike EASY, *every* queued job holds a reservation, and a job may only
 backfill if it delays no reservation at all.  The paper's frequency-
 assignment loop plugs in unchanged — here the predicted wait time is
 genuinely gear-dependent (a slower, longer job may only fit into a
-later hole), which exercises the ``wait_time_for`` generality of
-:class:`~repro.core.frequency_policy.SchedulingContext`.
+later hole).  Every queued job is a must-schedule decision with
+``lowest_feasible=0``; the pass hands
+:meth:`~repro.core.frequency_policy.FrequencyPolicy.select` a
+``wait_for(index)`` probe of the planning profile, and ``wait`` is that
+probe's top-gear answer.
 
 Queued-job reservations are still replanned from scratch on every event
 (classic "compression on early completion" behaviour), but the
@@ -24,8 +27,6 @@ from __future__ import annotations
 from collections import deque
 
 from repro.cluster.profile import AvailabilityProfile
-from repro.core.frequency_policy import SchedulingContext, _always_feasible
-from repro.core.gears import Gear
 from repro.registry import SCHEDULERS
 from repro.scheduling.base import Scheduler, _RunningJob
 from repro.scheduling.job import Job
@@ -47,25 +48,24 @@ class _StartProbe:
     """
 
     __slots__ = (
-        "_profile", "_now", "_size", "_submit", "_requested", "_beta",
-        "_coefficient", "_top_frequency", "_cache", "_floor",
+        "_profile", "_now", "_size", "_submit", "_requested", "_coefs",
+        "_cache", "_floor",
     )
 
     def __init__(self, profile: AvailabilityProfile, job: Job, now: float,
-                 coefficient, top_frequency: float) -> None:
+                 coefs: tuple[float, ...]) -> None:
         self._profile = profile
         self._now = now
         self._size = job.size
         self._submit = job.submit_time
         self._requested = job.requested_time
-        self._beta = job.beta
-        self._coefficient = coefficient
-        self._top_frequency = top_frequency
+        self._coefs = coefs
         self._cache: dict[float, float] = {}
         self._floor: float | None = None
 
-    def duration_for(self, gear: Gear) -> float:
-        return self._requested * self._coefficient(gear.frequency, self._beta)
+    def duration_for(self, index: int) -> float:
+        """The job's requested window at ladder index ``index``."""
+        return self._requested * self._coefs[index]
 
     def start_for(self, duration: float) -> float:
         cache = self._cache
@@ -74,9 +74,7 @@ class _StartProbe:
             return start
         floor = self._floor
         if floor is None:
-            top_duration = self._requested * self._coefficient(
-                self._top_frequency, self._beta
-            )
+            top_duration = self._requested * self._coefs[-1]
             floor = self._profile.find_start(self._now, top_duration, self._size)
             self._floor = floor
             cache[top_duration] = floor
@@ -86,8 +84,8 @@ class _StartProbe:
         cache[duration] = start
         return start
 
-    def wait_for(self, gear: Gear) -> float:
-        start = self.start_for(self.duration_for(gear))
+    def wait_for(self, index: int) -> float:
+        start = self.start_for(self.duration_for(index))
         if start < self._now:
             start = self._now
         return start - self._submit
@@ -149,30 +147,29 @@ class ConservativeBackfilling(Scheduler):
         pending = list(self._queue)
         still_waiting: deque[Job] = deque()
         plan: dict[int, float] = {}
-        coefficient = self._time_model.coefficient
-        top_frequency = self._gears.top.frequency
+        top = len(self._ladder) - 1
         wq_size = len(pending) - 1
         for job in pending:
-            probe = _StartProbe(profile, job, now, coefficient, top_frequency)
-            gear = self._policy.select_gear(
+            probe = _StartProbe(profile, job, now, self._coefficients(job.beta))
+            wait_for = probe.wait_for
+            index = self._policy.select(
                 job,
-                SchedulingContext(
-                    now=now,
-                    wait_time_for=probe.wait_for,
-                    wq_size=wq_size,
-                    # Recomputed per job: jobs started earlier in this very
-                    # pass raise the utilisation later candidates observe.
-                    utilization=self._utilization(),
-                    must_schedule=True,  # every job gets a reservation
-                    feasible=_always_feasible,
-                ),
+                wait_for(top),
+                wq_size,
+                # Recomputed per job: jobs started earlier in this very
+                # pass raise the utilisation later candidates observe.
+                self._utilization(),
+                True,  # every job gets a reservation
+                0,
+                wait_for,
             )
-            if gear is None:
+            if index < 0:
                 raise SimulationError(
                     f"policy {self._policy.describe()} refused job {job.job_id} "
-                    f"in a must_schedule context"
+                    f"in a must_schedule decision"
                 )
-            duration = probe.duration_for(gear)
+            gear = self._ladder[index]
+            duration = probe.duration_for(index)
             start = probe.start_for(duration)
             begin = max(start, now)
             # Whether started or merely reserved, the job consumes profile

@@ -36,14 +36,14 @@ the pre-filter is a superset by construction.
 
 from __future__ import annotations
 
-from repro.core.frequency_policy import SchedulingContext, _always_feasible
-from repro.core.gears import Gear
+from typing import Sequence
+
 from repro.registry import SCHEDULERS
 from repro.scheduling.base import Scheduler
 from repro.scheduling.job import Job
 from repro.sim.engine import SimulationError
 
-__all__ = ["EasyBackfilling", "head_reservation"]
+__all__ = ["EasyBackfilling", "head_reservation", "lowest_feasible"]
 
 
 def head_reservation(
@@ -81,6 +81,26 @@ def head_reservation(
     return t_res, free - head.size
 
 
+def lowest_feasible(
+    now: float, requested: float, coefs: Sequence[float], t_res: float
+) -> int:
+    """The lowest ladder index at which a backfill ends by ``t_res``.
+
+    The per-gear half of the O(1) admission test (see the module
+    docstring): ``coefs`` are the candidate's time coefficients along
+    the ascending gear ladder.  They are non-increasing, so the gears
+    passing ``now + requested * coef <= t_res`` form a suffix and the
+    scan stops at the first pass; ``len(coefs)`` means no gear fits.
+    Both cores call this one test.
+    """
+    index = 0
+    for coef in coefs:
+        if now + requested * coef <= t_res:
+            return index
+        index += 1
+    return index
+
+
 @SCHEDULERS.register("easy")
 class EasyBackfilling(Scheduler):
     """EASY backfilling; the paper's baseline and power-aware scheduler."""
@@ -88,10 +108,6 @@ class EasyBackfilling(Scheduler):
     def _reset_pass_state(self) -> None:
         # (head_id, last t_res, starts_count at observation)
         self._reservation_watch: tuple[int, float, int] | None = None
-        self._default_coef_by_frequency = {
-            gear.frequency: self._time_model.coefficient(gear.frequency)
-            for gear in self._gears
-        }
         # (head_id, free_cpus, estimates version) -> (t_res, extra): the
         # reservation is a pure function of those three, so passes that
         # moved none of them (e.g. a burst of arrivals with nothing
@@ -178,7 +194,7 @@ class EasyBackfilling(Scheduler):
         queue = self._queue
         pool = self._pool
         total_cpus = pool.total_cpus
-        coefficient = self._time_model.coefficient
+        ladder = self._ladder
         free_now = pool.free_cpus  # mirrored locally; only _start_job moves it
         if free_now == 0:
             return
@@ -216,36 +232,35 @@ class EasyBackfilling(Scheduler):
                     continue
                 if size <= extra:
                     # Fits beside the head's reservation at any duration.
-                    feasible = _always_feasible
+                    lowest = 0
                 elif not (now + job.requested_time <= t_res):
                     # Even the top gear (Coef == 1, the shortest stretch) ends
                     # past the shadow time, so no gear is feasible.  Policies
                     # never return an infeasible gear in a may-skip context,
-                    # so the decision is a foregone None — skip the call.
+                    # so the decision is a foregone skip — spare the call.
                     continue
                 else:
-                    feasible = self._backfill_test(job, now, t_res, coefficient)
+                    lowest = lowest_feasible(
+                        now, job.requested_time, self._coefficients(job.beta), t_res
+                    )
                 # self._policy is read per candidate, not cached at pass
                 # start: a controller instrument reacting to the JobStarted
                 # just emitted by _start_job may have swapped or capped the
                 # policy, and the rest of the scan must honour that.
-                gear = self._policy.select_gear(
+                gear_index = self._policy.select(
                     job,
-                    SchedulingContext.with_fixed_wait(
-                        now=now,
-                        wait_time=now - job.submit_time,
-                        wq_size=queue_len - 1,
-                        utilization=(total_cpus - free_now) / total_cpus,
-                        must_schedule=False,
-                        feasible=feasible,
-                    ),
+                    now - job.submit_time,
+                    queue_len - 1,
+                    (total_cpus - free_now) / total_cpus,
+                    False,
+                    lowest,
                 )
-                if gear is None:
+                if gear_index < 0:
                     continue
                 queue.remove_at(position)
                 queue_len -= 1
                 free_now -= size
-                started = self._start_job(now, job, gear)
+                started = self._start_job(now, job, ladder[gear_index])
                 accepted_index = index
                 break
             if accepted_index is None:
@@ -290,27 +305,3 @@ class EasyBackfilling(Scheduler):
                 # without re-masking the whole window.
                 positions = queue.narrow_positions(positions[index + 1 :], free_now)
             slots = queue.slots
-
-    def _backfill_test(self, job: Job, now: float, t_res: float, coefficient):
-        """The O(1) admission test at a given gear (see module docstring).
-
-        The ``size <= extra`` disjunct and the free-CPU gate are decided
-        before this closure is built (neither changes while one
-        candidate is evaluated), leaving only the duration-vs-shadow
-        comparison per gear.  Global-β jobs read the per-gear
-        coefficient from a flat table instead of the memoised call.
-        """
-        requested = job.requested_time
-        beta = job.beta
-        if beta is None:
-            table = self._default_coef_by_frequency
-
-            def feasible(gear: Gear) -> bool:
-                return now + requested * table[gear.frequency] <= t_res
-
-            return feasible
-
-        def feasible(gear: Gear) -> bool:
-            return now + requested * coefficient(gear.frequency, beta) <= t_res
-
-        return feasible

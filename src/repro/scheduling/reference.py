@@ -18,8 +18,6 @@ from collections import deque
 from itertools import islice
 
 from repro.cluster.profile import ReferenceAvailabilityProfile
-from repro.core.frequency_policy import SchedulingContext
-from repro.core.gears import Gear
 from repro.scheduling.base import Scheduler
 from repro.scheduling.job import Job
 from repro.sim.engine import SimulationError
@@ -43,21 +41,18 @@ class ReferenceEasyBackfilling(Scheduler):
                 break
             if job.size > self._pool.free_cpus:
                 continue
-            gear = self._policy.select_gear(
+            index = self._policy.select(
                 job,
-                SchedulingContext.with_fixed_wait(
-                    now=now,
-                    wait_time=now - job.submit_time,
-                    wq_size=len(self._queue) - 1,
-                    utilization=self._utilization(),
-                    must_schedule=False,
-                    feasible=self._backfill_test(trial, job, now),
-                ),
+                now - job.submit_time,
+                len(self._queue) - 1,
+                self._utilization(),
+                False,
+                self._lowest_fit(trial, job, now),
             )
-            if gear is None:
+            if index < 0:
                 continue
             self._queue.remove(job)
-            self._start_job(now, job, gear)
+            self._start_job(now, job, self._ladder[index])
             profile = self._running_profile(now)
             t_res = self._head_start(profile, now, head)
             trial = self._with_head_reserved(profile, now, head, t_res)
@@ -103,16 +98,16 @@ class ReferenceEasyBackfilling(Scheduler):
         trial.reserve(start, start + duration, head.size)
         return trial
 
-    def _backfill_test(self, trial: ReferenceAvailabilityProfile, job: Job, now: float):
-        def feasible(gear: Gear) -> bool:
-            if job.size > self._pool.free_cpus:
-                return False
-            duration = job.requested_time * self._time_model.coefficient(
-                gear.frequency, job.beta
-            )
-            return trial.fits_at(now, duration, job.size)
+    def _lowest_fit(self, trial: ReferenceAvailabilityProfile, job: Job, now: float) -> int:
+        """The lowest ladder index whose stretched window fits ``trial`` now.
 
-        return feasible
+        Probes every gear from ``Flowest`` up; a shorter window fits
+        wherever a longer one does, so the fitting gears form a suffix.
+        """
+        for index, coef in enumerate(self._coefficients(job.beta)):
+            if trial.fits_at(now, job.requested_time * coef, job.size):
+                return index
+        return len(self._ladder)
 
 
 class ReferenceConservativeBackfilling(Scheduler):
@@ -138,25 +133,26 @@ class ReferenceConservativeBackfilling(Scheduler):
         pending = list(self._queue)
         still_waiting: deque[Job] = deque()
         plan: dict[int, float] = {}
+        top = len(self._ladder) - 1
         for job in pending:
             wq_size = len(pending) - 1
-            gear = self._policy.select_gear(
+            wait_for = self._wait_probe(profile, job, now)
+            index = self._policy.select(
                 job,
-                SchedulingContext(
-                    now=now,
-                    wait_time_for=self._wait_probe(profile, job, now),
-                    wq_size=wq_size,
-                    utilization=self._utilization(),
-                    must_schedule=True,  # every job gets a reservation
-                    feasible=lambda gear: True,
-                ),
+                wait_for(top),
+                wq_size,
+                self._utilization(),
+                True,  # every job gets a reservation
+                0,
+                wait_for,
             )
-            if gear is None:
+            if index < 0:
                 raise SimulationError(
                     f"policy {self._policy.describe()} refused job {job.job_id} "
-                    f"in a must_schedule context"
+                    f"in a must_schedule decision"
                 )
-            duration = self._scaled_request(job, gear)
+            gear = self._ladder[index]
+            duration = self._scaled_request(job, index)
             start = profile.find_start(now, duration, job.size)
             begin = max(start, now)
             # Whether started or merely reserved, the job consumes profile
@@ -181,12 +177,12 @@ class ReferenceConservativeBackfilling(Scheduler):
                 profile.reserve(now, end, size)
         return profile
 
-    def _scaled_request(self, job: Job, gear: Gear) -> float:
-        return job.requested_time * self._time_model.coefficient(gear.frequency, job.beta)
+    def _scaled_request(self, job: Job, index: int) -> float:
+        return job.requested_time * self._coefficients(job.beta)[index]
 
     def _wait_probe(self, profile: ReferenceAvailabilityProfile, job: Job, now: float):
-        def wait_for(gear: Gear) -> float:
-            duration = self._scaled_request(job, gear)
+        def wait_for(index: int) -> float:
+            duration = self._scaled_request(job, index)
             start = profile.find_start(now, duration, job.size)
             return max(start, now) - job.submit_time
 

@@ -3,9 +3,8 @@
 The reference core (:mod:`repro.scheduling.base`) is event-driven and
 object-per-thing: an :class:`~repro.sim.engine.Engine` dispatching
 handler callbacks, a ``_RunningJob`` object and an
-:class:`~repro.sim.events.EventHandle` per start, a
-:class:`~repro.scheduling.job.JobOutcome` dataclass per completion and
-a :class:`~repro.core.frequency_policy.SchedulingContext` per decision.
+:class:`~repro.sim.events.EventHandle` per start, and a
+:class:`~repro.scheduling.job.JobOutcome` dataclass per completion.
 Those objects are where most of the wall time of a large run goes — the
 scheduling *logic* (reservation walk, backfill scan) is a small
 fraction of it.
@@ -18,29 +17,48 @@ stripped out:
   dispatch, and runs of arrivals landing while the machine is saturated
   (``free == 0``, when a scheduling pass is provably a no-op) batch
   straight into the wait queue between decision points;
-* per-decision policy logic (the paper's BSLD-threshold walk, the
-  fixed-gear baselines) is inlined over flat coefficient tables instead
-  of going through ``SchedulingContext``/``select_gear``;
 * per-job results land in preallocated numpy columns and come back as
   an :class:`~repro.scheduling.columns.OutcomeColumns` store — the
   dict-of-dataclass view is reconstructed lazily, and aggregate queries
   reduce over the arrays without materialising a single outcome.
 
 Bit-exactness is the contract (the golden traces and the lane-vs-lane
-differentials enforce it), so every floating-point expression here is
-the *same expression in the same order* as the reference core's:
-``start_job``'s end-time arithmetic, the energy segment accumulation on
-each finish and the pre-filtered backfill scan (including its
-memo/cache keys) all mirror :mod:`repro.scheduling.base` /
-:mod:`repro.scheduling.easy` line for line.  The head-reservation walk
-(:func:`~repro.scheduling.easy.head_reservation`) and the wait-queue
-(:class:`~repro.scheduling.queue.JobQueue`) are reused outright, so
-they are shared code, not copies.
+differentials enforce it).  The scheduling semantics are shared code,
+not copies — both cores call the same functions:
 
-Coverage: EASY and FCFS scheduling under the ``nodvfs``, ``fixed`` and
-``bsld`` policy kinds, no boost, no sleep, no timeline, no instruments,
-no validate/sanitize mode.  :func:`try_run_columnar` returns ``None``
-for anything else and the lane falls back to the reference core.
+* every gear decision is the run's own
+  :meth:`~repro.core.frequency_policy.FrequencyPolicy.select`, called
+  with the same arguments as the reference scheduler calls it, at the
+  same three sites: the queue heads of an FCFS pass and of an EASY
+  pass, and the EASY backfill candidates;
+* EASY's per-gear admission test is
+  :func:`~repro.scheduling.easy.lowest_feasible`;
+* the head-reservation walk is
+  :func:`~repro.scheduling.easy.head_reservation`, and the wait queue
+  is :class:`~repro.scheduling.queue.JobQueue`.
+
+Three pieces are still restated here, each the *same expression in the
+same order* as the reference core's: ``start_job``'s execution-window
+arithmetic (actual and estimated end), the energy segment accumulation
+on each finish, and the pre-filtered backfill scan with its memo/cache
+keys (:mod:`repro.scheduling.base` / :mod:`repro.scheduling.easy`).
+The first two run once per job on the hottest path of the loop, so they
+stay inlined: sharing them as calls (an execution-window helper, and
+an ``EnergyAccounting.add_job`` per finish) was measured to slow the
+benchmark's ``inproc-deep`` workload (SDSC-200k, DVFS(2,NO)) from a
+median request of 5.36 to 5.59 s, in 4 of 4 alternating pairs on
+2 vCPUs (Python 3.11, numpy 2.4).
+
+Coverage: EASY and FCFS scheduling under the bundled ``nodvfs``,
+``fixed``, ``bsld`` and ``util`` policy kinds, no boost, no sleep, no
+timeline, no instruments, no validate/sanitize mode.
+:func:`try_run_columnar` returns ``None`` for anything else and the lane
+falls back to the reference core.  The policy kinds are an allowlist,
+not "any registered policy": the arrival-pass skip below is exact only
+when a rejected candidate stays rejected as time passes under a fixed
+machine state, which holds for the bundled kinds (their decisions read
+the wait, which only grows, and utilisation, which a fixed free count
+pins) but not for an arbitrary policy.
 """
 
 from __future__ import annotations
@@ -56,12 +74,11 @@ except ImportError:  # pragma: no cover - exercised only without numpy
     _np = None
 
 from repro.analysis.sanitize import enabled as sanitize_enabled
-from repro.core.frequency_policy import BsldThresholdPolicy, FixedGearPolicy
 from repro.power.energy import EnergyAccounting
 from repro.power.time_model import BetaTimeModel
 from repro.registry import POWER_MODELS
 from repro.scheduling.columns import OutcomeColumns
-from repro.scheduling.easy import head_reservation
+from repro.scheduling.easy import head_reservation, lowest_feasible
 from repro.scheduling.job import Job, validate_jobs
 from repro.scheduling.queue import JobQueue
 from repro.scheduling.result import SimulationResult
@@ -73,15 +90,16 @@ if TYPE_CHECKING:  # imported for annotations only; avoids package cycles
 __all__ = ["try_run_columnar"]
 
 _SUPPORTED_SCHEDULERS = frozenset({"easy", "fcfs"})
-_SUPPORTED_POLICY_KINDS = frozenset({"nodvfs", "fixed", "bsld"})
+_SUPPORTED_POLICY_KINDS = frozenset({"nodvfs", "fixed", "bsld", "util"})
 
 
 def _covers(simulation: Simulation) -> bool:
     """Whether the fused core reproduces this run exactly.
 
     Anything outside this set (validate/sanitize modes, boost, sleep,
-    timelines, instruments, the conservative scheduler, the ``util``
-    policy) runs on the reference core via the lane fallback.
+    timelines, instruments, the conservative scheduler, registered
+    policy kinds beyond the bundled four) runs on the reference core via
+    the lane fallback.
     """
     spec = simulation.spec
     return (
@@ -124,105 +142,14 @@ def _run_columnar(simulation: Simulation, jobs: list[Job]) -> SimulationResult:
     accounting = EnergyAccounting(power_model)
 
     ladder = gears.ascending()
-    n_gears = len(ladder)
-    freqs = [gear.frequency for gear in ladder]
-    top_idx = ladder.index(gears.top)
+    freqs = gears.frequencies
+    top_idx = len(ladder) - 1
     coefficient = time_model.coefficient
-    # The exact memoised values the reference resolves per gear — both
-    # the policy's _default_coefs and EASY's _default_coef_by_frequency
-    # come from the same coefficient() calls.
-    default_coefs = [coefficient(frequency) for frequency in freqs]
+    coefficients = time_model.coefficients
+    # The exact memoised values the reference scheduler resolves per gear.
+    default_coefs = coefficients(freqs)
     active_power = [accounting._active_power[gear] for gear in ladder]
-
-    # -- inlined policy decisions ------------------------------------------------
-    # select_must: the queue head (must_schedule=True, always feasible).
-    # select_backfill: a backfill candidate; `gated` is True when the
-    # per-gear admission test applies (size > extra), in which case the
-    # caller has already verified the top gear fits (Coef(fmax) == 1).
-    # Returns a ladder index, or -1 for "skip this candidate".
-    if isinstance(policy, BsldThresholdPolicy):
-        bsld_threshold = policy.bsld_threshold
-        wq_threshold = policy.wq_threshold
-        time_threshold = policy.bsld_time_threshold
-        strict_top = policy.strict_top_backfill
-
-        def select_must(job: Job, wait: float, wq_size: int) -> int:
-            if wq_threshold is not None and wq_size > wq_threshold:
-                return top_idx
-            requested = job.requested_time
-            denominator = time_threshold if time_threshold > requested else requested
-            bsld_top = (wait + requested) / denominator
-            if bsld_top >= bsld_threshold and bsld_top >= 1.0:
-                return top_idx
-            beta = job.beta
-            for index in range(n_gears):
-                if index == top_idx:
-                    return top_idx
-                if beta is None:
-                    coef = default_coefs[index]
-                else:
-                    coef = coefficient(freqs[index], beta)
-                bsld = (wait + requested * coef) / denominator
-                if bsld < 1.0:
-                    bsld = 1.0
-                if bsld < bsld_threshold:
-                    return index
-            return top_idx  # pragma: no cover - the loop always hits top
-
-        def select_backfill(
-            job: Job, wait: float, wq_size: int, gated: bool, now: float, t_res: float
-        ) -> int:
-            requested = job.requested_time
-            beta = job.beta
-            denominator = time_threshold if time_threshold > requested else requested
-            if wq_threshold is not None and wq_size > wq_threshold:
-                start = top_idx
-            else:
-                start = 0
-                # Predicted BSLD is monotone non-increasing in frequency:
-                # if even Ftop misses the threshold, no reduced gear can
-                # pass (and the top gear is always feasible when gated —
-                # the caller pre-verified now + requested <= t_res).
-                bsld_top = (wait + requested) / denominator
-                if bsld_top >= bsld_threshold and bsld_top >= 1.0:
-                    return -1 if strict_top else top_idx
-            for index in range(start, n_gears):
-                if beta is None:
-                    coef = default_coefs[index]
-                else:
-                    coef = coefficient(freqs[index], beta)
-                if gated and not (now + requested * coef <= t_res):
-                    continue
-                if index == top_idx and not strict_top:
-                    return top_idx
-                bsld = (wait + requested * coef) / denominator
-                if bsld < 1.0:
-                    bsld = 1.0
-                if bsld < bsld_threshold:
-                    return index
-            return -1
-
-    else:
-        assert isinstance(policy, FixedGearPolicy)
-        fixed_idx = ladder.index(policy._gear)
-        fixed_frequency = freqs[fixed_idx]
-        fixed_coef = default_coefs[fixed_idx]
-
-        def select_must(job: Job, wait: float, wq_size: int) -> int:
-            return fixed_idx
-
-        def select_backfill(
-            job: Job, wait: float, wq_size: int, gated: bool, now: float, t_res: float
-        ) -> int:
-            if gated:
-                beta = job.beta
-                if beta is None:
-                    coef = fixed_coef
-                else:
-                    coef = coefficient(fixed_frequency, beta)
-                if not (now + job.requested_time * coef <= t_res):
-                    return -1
-            return fixed_idx
+    select = policy.select
 
     # -- per-run state ------------------------------------------------------------
     queue = JobQueue()
@@ -295,7 +222,13 @@ def _run_columnar(simulation: Simulation, jobs: list[Job]) -> SimulationResult:
             assert head is not None
             if head.size > free:
                 break
-            gear_idx = select_must(head, now - head.submit_time, queue._live - 1)
+            gear_idx = select(
+                head,
+                now - head.submit_time,
+                queue._live - 1,
+                (total_cpus - free) / total_cpus,
+                True,
+            )
             queue.popleft()
             start_job(now, head, gear_idx)
 
@@ -361,13 +294,24 @@ def _run_columnar(simulation: Simulation, jobs: list[Job]) -> SimulationResult:
                 if size > free_now:
                     continue
                 if size <= extra:
-                    gated = False
+                    lowest = 0
                 elif not (now + job.requested_time <= t_res):
                     continue
                 else:
-                    gated = True
-                gear_idx = select_backfill(
-                    job, now - job.submit_time, queue_len - 1, gated, now, t_res
+                    beta = job.beta
+                    lowest = lowest_feasible(
+                        now,
+                        job.requested_time,
+                        default_coefs if beta is None else coefficients(freqs, beta),
+                        t_res,
+                    )
+                gear_idx = select(
+                    job,
+                    now - job.submit_time,
+                    queue_len - 1,
+                    (total_cpus - free_now) / total_cpus,
+                    False,
+                    lowest,
                 )
                 if gear_idx < 0:
                     continue
@@ -442,7 +386,13 @@ def _run_columnar(simulation: Simulation, jobs: list[Job]) -> SimulationResult:
                 assert head is not None
                 if head.size > free:
                     break
-                gear_idx = select_must(head, now - head.submit_time, queue._live - 1)
+                gear_idx = select(
+                    head,
+                    now - head.submit_time,
+                    queue._live - 1,
+                    (total_cpus - free) / total_cpus,
+                    True,
+                )
                 queue.popleft()
                 start_job(now, head, gear_idx)
             queue_len = queue._live
@@ -466,8 +416,9 @@ def _run_columnar(simulation: Simulation, jobs: list[Job]) -> SimulationResult:
             """An arrival-triggered pass, skipped when provably a no-op.
 
             Rejections only harden as ``now`` advances under fixed
-            (free, estimates, head): the slack gate tightens, waits grow
-            so predicted BSLDs grow, and ``size > free`` is
+            (free, estimates, head): the slack gate and the per-gear
+            admission test tighten, waits grow so predicted BSLDs grow,
+            utilisation is pinned by ``free``, and ``size > free`` is
             time-independent.  So if nothing has changed since the last
             clean scan (same est_version and free — any start or finish
             bumps est_version, and every intervening real pass either

@@ -18,9 +18,9 @@ Two lanes ship:
     (:mod:`repro.sim.columnar`) holding job state in preallocated numpy
     arrays and batching event runs between scheduler decision points.
     Configurations it does not cover (validate mode, sleep policies,
-    boost, timelines, the conservative scheduler, the ``util`` policy)
-    and a missing numpy fall back to the reference core transparently —
-    the results are identical either way.
+    boost, timelines, instruments, the conservative scheduler, policy
+    kinds beyond the bundled four) and a missing numpy fall back to the
+    reference core transparently — the results are identical either way.
 
 The lane is chosen automatically: ``columnar`` whenever numpy is
 importable, ``reference`` otherwise.  Two pins override that choice —

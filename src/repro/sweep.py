@@ -15,7 +15,8 @@ worker, a rebooted machine — without losing the work already done.
 The journal is append-only on purpose: completing a spec costs one
 ``write`` of one line (O(1)), not a rewrite of an N-entry document
 (O(N) per completion, O(N^2) per sweep), and a crash mid-append leaves
-at worst one torn trailing line, which loading tolerates.
+at worst one torn trailing line, which loading tolerates and a resume
+cuts off before it appends again.
 
 Usage::
 
@@ -90,6 +91,8 @@ class SweepManifest:
         self.total = total
         self.done: set[str] = set()
         self.failed: dict[str, dict] = {}
+        # Byte offset of a torn trailing line found by load(), if any.
+        self._torn_at: int | None = None
 
     # -- construction -----------------------------------------------------------
     @staticmethod
@@ -122,10 +125,16 @@ class SweepManifest:
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "SweepManifest":
-        """Read a manifest back, tolerating one torn trailing line."""
+        """Read a manifest back, tolerating one torn trailing line.
+
+        Each record is written as one newline-terminated line, so a
+        crash mid-append leaves at worst a last line that is
+        unterminated or unparseable.  That line is skipped here (and cut
+        off by :meth:`resume`); a corrupt line anywhere else is refused.
+        """
         path = Path(path)
-        with open(path, "r", encoding="utf-8") as stream:
-            lines = stream.read().splitlines()
+        with open(path, "rb") as stream:
+            lines = stream.read().splitlines(keepends=True)
         if not lines:
             raise ValueError(f"sweep manifest {path} is empty")
         header = json.loads(lines[0])
@@ -138,13 +147,19 @@ class SweepManifest:
                 f"re-run the sweep from scratch"
             )
         manifest = cls(path, header["digest"], header["total"])
+        offset = len(lines[0])
         for index, line in enumerate(lines[1:], start=2):
             try:
                 entry = json.loads(line)
             except ValueError:
+                entry = None
+            if entry is None or not line.endswith(b"\n"):
                 if index == len(lines):
-                    continue  # a crash mid-append tears only the last line
+                    # A crash mid-append tears only the last line.
+                    manifest._torn_at = offset
+                    break
                 raise ValueError(f"corrupt sweep manifest {path}: line {index}")
+            offset += len(line)
             if entry.get("status") == "done":
                 manifest.done.add(entry["key"])
                 manifest.failed.pop(entry["key"], None)
@@ -156,7 +171,12 @@ class SweepManifest:
     def resume(
         cls, path: str | os.PathLike[str], specs: Sequence[RunSpec]
     ) -> "SweepManifest":
-        """Load ``path`` and verify it journals exactly this spec set."""
+        """Load ``path`` and verify it journals exactly this spec set.
+
+        A torn trailing line is cut off here, before the resumed sweep
+        appends: a record written onto the fragment would corrupt a
+        line that is no longer the last one.
+        """
         manifest = cls.load(path)
         digest = cls.digest_of(specs)
         if digest != manifest.digest:
@@ -165,6 +185,9 @@ class SweepManifest:
                 f"(digest {manifest.digest}, grid has {digest}); "
                 f"start a fresh manifest for a changed grid"
             )
+        if manifest._torn_at is not None:
+            os.truncate(manifest.path, manifest._torn_at)
+            manifest._torn_at = None
         return manifest
 
     # -- journaling -------------------------------------------------------------

@@ -1,32 +1,9 @@
-"""Unit and property tests for the processor pool (First Fit selection)."""
+"""Unit and property tests for the count-only processor pool."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster.allocation import Allocation
 from repro.cluster.processors import ProcessorPool
-
-
-class TestAllocationRecord:
-    def test_count_only(self):
-        allocation = Allocation(size=4)
-        assert not allocation.tracks_ids
-
-    def test_with_ids(self):
-        allocation = Allocation(size=2, cpu_ids=(0, 1))
-        assert allocation.tracks_ids
-
-    def test_size_id_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            Allocation(size=3, cpu_ids=(0, 1))
-
-    def test_duplicate_ids(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Allocation(size=2, cpu_ids=(1, 1))
-
-    def test_nonpositive_size(self):
-        with pytest.raises(ValueError, match="size"):
-            Allocation(size=0)
 
 
 class TestCountMode:
@@ -34,13 +11,12 @@ class TestCountMode:
         pool = ProcessorPool(8)
         assert pool.free_cpus == 8
         assert pool.busy_cpus == 0
-        assert not pool.tracks_ids
 
     def test_allocate_release_cycle(self):
         pool = ProcessorPool(8)
-        allocation = pool.allocate(5)
+        pool.allocate(5)
         assert pool.free_cpus == 3
-        pool.release(allocation)
+        pool.release(5)
         assert pool.free_cpus == 8
 
     def test_fits(self):
@@ -58,7 +34,7 @@ class TestCountMode:
     def test_overrelease_rejected(self):
         pool = ProcessorPool(4)
         with pytest.raises(ValueError, match="exceed"):
-            pool.release(Allocation(size=1))
+            pool.release(1)
 
     def test_nonpositive_requests_rejected(self):
         pool = ProcessorPool(4)
@@ -68,66 +44,18 @@ class TestCountMode:
             ProcessorPool(0)
 
 
-class TestFirstFitIds:
-    def test_lowest_ids_first(self):
-        pool = ProcessorPool(8, track_ids=True)
-        assert pool.allocate(3).cpu_ids == (0, 1, 2)
-        assert pool.allocate(2).cpu_ids == (3, 4)
-
-    def test_released_ids_reused_lowest_first(self):
-        pool = ProcessorPool(8, track_ids=True)
-        first = pool.allocate(3)   # 0,1,2
-        pool.allocate(2)           # 3,4
-        pool.release(first)
-        assert pool.allocate(4).cpu_ids == (0, 1, 2, 5)
-
-    def test_release_requires_ids(self):
-        pool = ProcessorPool(4, track_ids=True)
-        pool.allocate(1)
-        with pytest.raises(ValueError, match="without CPU ids"):
-            pool.release(Allocation(size=1))
-
-    def test_out_of_range_id_rejected(self):
-        pool = ProcessorPool(4, track_ids=True)
-        pool.allocate(1)
-        with pytest.raises(ValueError, match="out of range"):
-            pool.release(Allocation(size=1, cpu_ids=(99,)))
-
-    def test_disjoint_allocations(self):
-        pool = ProcessorPool(16, track_ids=True)
-        seen: set[int] = set()
-        for size in (4, 4, 4, 4):
-            ids = pool.allocate(size).cpu_ids
-            assert not (seen & set(ids))
-            seen.update(ids)
-        assert seen == set(range(16))
-
-
 @given(st.lists(st.integers(min_value=1, max_value=8), max_size=30))
 def test_pool_conservation_property(sizes):
-    """Alloc/release sequences never lose or invent CPUs (both modes)."""
-    for track_ids in (False, True):
-        pool = ProcessorPool(16, track_ids=track_ids)
-        live = []
-        for size in sizes:
-            if pool.fits(size):
-                live.append(pool.allocate(size))
-            elif live:
-                pool.release(live.pop(0))
-            assert pool.free_cpus + sum(a.size for a in live) == 16
-        for allocation in live:
-            pool.release(allocation)
-        assert pool.free_cpus == 16
-
-
-@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=20))
-def test_first_fit_ids_are_minimal_property(sizes):
-    """In id mode, every allocation takes the lowest free ids available."""
-    pool = ProcessorPool(32, track_ids=True)
-    free = set(range(32))
+    """Alloc/release sequences never lose or invent CPUs."""
+    pool = ProcessorPool(16)
+    live = []
     for size in sizes:
-        if not pool.fits(size):
-            break
-        ids = pool.allocate(size).cpu_ids
-        assert list(ids) == sorted(free)[:size]
-        free -= set(ids)
+        if pool.fits(size):
+            pool.allocate(size)
+            live.append(size)
+        elif live:
+            pool.release(live.pop(0))
+        assert pool.free_cpus + sum(live) == 16
+    for size in live:
+        pool.release(size)
+    assert pool.free_cpus == 16

@@ -5,14 +5,18 @@ import pytest
 from repro.core.frequency_policy import (
     BsldThresholdPolicy,
     FixedGearPolicy,
+    GearCappedPolicy,
     NO_WQ_LIMIT,
-    SchedulingContext,
 )
 from repro.core.gears import PAPER_GEAR_SET
 from repro.power.time_model import BetaTimeModel
 from tests.conftest import make_job
 
 TIME_MODEL = BetaTimeModel.for_gear_set(PAPER_GEAR_SET)
+LADDER = PAPER_GEAR_SET.ascending()
+TOP = len(LADDER) - 1
+#: ``lowest_feasible`` when the admission test rejects every gear.
+NONE_FEASIBLE = len(LADDER)
 
 
 def bind(policy):
@@ -20,27 +24,31 @@ def bind(policy):
     return policy
 
 
-def ctx(wait=0.0, wq=0, must=True, feasible=None, util=0.5):
-    return SchedulingContext.with_fixed_wait(
-        now=0.0,
-        wait_time=wait,
-        wq_size=wq,
-        utilization=util,
-        must_schedule=must,
-        feasible=feasible or (lambda gear: True),
-    )
+def index_of(frequency):
+    """Ladder index of the gear at ``frequency`` GHz."""
+    return LADDER.index(PAPER_GEAR_SET.by_frequency(frequency))
+
+
+def select(policy, job, wait=0.0, wq=0, must=True, lowest=0, util=0.5, wait_for=None):
+    return policy.select(job, wait, wq, util, must, lowest, wait_for)
+
+
+def gear(policy, job, **ctx):
+    index = select(policy, job, **ctx)
+    assert index >= 0, "the policy skipped the job"
+    return LADDER[index]
 
 
 class TestFixedGearPolicy:
     def test_defaults_to_top(self):
         policy = bind(FixedGearPolicy())
-        assert policy.select_gear(make_job(), ctx()) == PAPER_GEAR_SET.top
+        assert gear(policy, make_job()) == PAPER_GEAR_SET.top
         assert not policy.applies_dvfs
         assert policy.describe() == "FixedGear(top)"
 
     def test_pinned_gear(self):
         policy = bind(FixedGearPolicy(0.8))
-        assert policy.select_gear(make_job(), ctx()) == PAPER_GEAR_SET.lowest
+        assert gear(policy, make_job()) == PAPER_GEAR_SET.lowest
         assert policy.applies_dvfs
 
     def test_unknown_frequency_raises_at_bind(self):
@@ -49,86 +57,84 @@ class TestFixedGearPolicy:
 
     def test_infeasible_returns_none(self):
         policy = bind(FixedGearPolicy())
-        assert policy.select_gear(make_job(), ctx(feasible=lambda g: False)) is None
+        assert select(policy, make_job(), lowest=NONE_FEASIBLE) == -1
 
 
 class TestBsldThresholdSelection:
     def test_zero_wait_long_request_picks_lowest_passing_gear(self):
         # pred = Coef(f) for RQ >= 600 at zero wait.
         job = make_job(runtime=5000.0, requested=5000.0)
-        assert bind(BsldThresholdPolicy(2.0, None)).select_gear(job, ctx()).frequency == 0.8
-        assert bind(BsldThresholdPolicy(1.5, None)).select_gear(job, ctx()).frequency == 1.4
-        assert bind(BsldThresholdPolicy(1.2, None)).select_gear(job, ctx()).frequency == 1.7
+        assert gear(bind(BsldThresholdPolicy(2.0, None)), job).frequency == 0.8
+        assert gear(bind(BsldThresholdPolicy(1.5, None)), job).frequency == 1.4
+        assert gear(bind(BsldThresholdPolicy(1.2, None)), job).frequency == 1.7
 
     def test_short_request_always_lowest(self):
         # RQ=300 < 600: pred = max(300*Coef/600, 1) = 1 < any threshold.
         job = make_job(runtime=300.0, requested=300.0)
         policy = bind(BsldThresholdPolicy(1.5, None))
-        assert policy.select_gear(job, ctx()).frequency == 0.8
+        assert gear(policy, job).frequency == 0.8
 
     def test_large_wait_forces_top_for_head(self):
         job = make_job(runtime=1000.0, requested=1000.0)
         policy = bind(BsldThresholdPolicy(2.0, None))
         # wait 10000s: pred at top = 11 > 2, but the head must schedule.
-        gear = policy.select_gear(job, ctx(wait=10000.0, must=True))
-        assert gear == PAPER_GEAR_SET.top
+        assert select(policy, job, wait=10000.0, must=True) == TOP
 
     def test_large_wait_backfill_allowed_at_top_by_default(self):
         job = make_job(runtime=1000.0, requested=1000.0)
         policy = bind(BsldThresholdPolicy(2.0, None))
-        gear = policy.select_gear(job, ctx(wait=10000.0, must=False))
-        assert gear == PAPER_GEAR_SET.top  # relaxed Figure-2 reading
+        # relaxed Figure-2 reading
+        assert select(policy, job, wait=10000.0, must=False) == TOP
 
     def test_strict_mode_blocks_top_backfill(self):
         job = make_job(runtime=1000.0, requested=1000.0)
         policy = bind(BsldThresholdPolicy(2.0, None, strict_top_backfill=True))
-        assert policy.select_gear(job, ctx(wait=10000.0, must=False)) is None
+        assert select(policy, job, wait=10000.0, must=False) == -1
 
     def test_strict_mode_still_schedules_heads(self):
         job = make_job(runtime=1000.0, requested=1000.0)
         policy = bind(BsldThresholdPolicy(2.0, None, strict_top_backfill=True))
-        assert policy.select_gear(job, ctx(wait=10000.0, must=True)) == PAPER_GEAR_SET.top
+        assert select(policy, job, wait=10000.0, must=True) == TOP
 
 
 class TestWqThreshold:
     def test_wq_over_threshold_goes_top(self):
         job = make_job(runtime=5000.0, requested=5000.0)
         policy = bind(BsldThresholdPolicy(3.0, wq_threshold=4))
-        assert policy.select_gear(job, ctx(wq=5)).frequency == 2.3
-        assert policy.select_gear(job, ctx(wq=4)).frequency == 0.8
+        assert gear(policy, job, wq=5).frequency == 2.3
+        assert gear(policy, job, wq=4).frequency == 0.8
 
     def test_wq_zero_semantics(self):
         """WQ threshold 0 still reduces when no *other* job waits."""
         job = make_job(runtime=5000.0, requested=5000.0)
         policy = bind(BsldThresholdPolicy(2.0, wq_threshold=0))
-        assert policy.select_gear(job, ctx(wq=0)).frequency == 0.8
-        assert policy.select_gear(job, ctx(wq=1)).frequency == 2.3
+        assert gear(policy, job, wq=0).frequency == 0.8
+        assert gear(policy, job, wq=1).frequency == 2.3
 
     def test_no_limit(self):
         job = make_job(runtime=5000.0, requested=5000.0)
         policy = bind(BsldThresholdPolicy(2.0, NO_WQ_LIMIT))
-        assert policy.select_gear(job, ctx(wq=10**6)).frequency == 0.8
+        assert gear(policy, job, wq=10**6).frequency == 0.8
 
 
 class TestFeasibility:
     def test_infeasible_low_gears_skipped(self):
         job = make_job(runtime=5000.0, requested=5000.0)
         policy = bind(BsldThresholdPolicy(2.0, None))
-        gear = policy.select_gear(job, ctx(feasible=lambda g: g.frequency >= 1.4))
-        # 1.4 GHz is feasible and pred = Coef(1.4) = 1.32 < 2.
-        assert gear.frequency == pytest.approx(1.4)
+        # Gears from 1.4 GHz up are feasible, and pred = Coef(1.4) = 1.32 < 2.
+        assert gear(policy, job, lowest=index_of(1.4)).frequency == pytest.approx(1.4)
 
     def test_nothing_feasible_backfill_returns_none(self):
         job = make_job(runtime=5000.0, requested=5000.0)
         policy = bind(BsldThresholdPolicy(2.0, None))
-        assert policy.select_gear(job, ctx(feasible=lambda g: False, must=False)) is None
+        assert select(policy, job, lowest=NONE_FEASIBLE, must=False) == -1
 
     def test_nothing_feasible_head_still_returns_top(self):
-        """Heads fall back to Ftop even if the feasibility probe objects;
+        """Heads fall back to Ftop even if the admission test objects;
         EASY's reservation for the head cannot be skipped."""
         job = make_job(runtime=5000.0, requested=5000.0)
         policy = bind(BsldThresholdPolicy(2.0, None))
-        assert policy.select_gear(job, ctx(feasible=lambda g: False, must=True)) == PAPER_GEAR_SET.top
+        assert select(policy, job, lowest=NONE_FEASIBLE, must=True) == TOP
 
 
 class TestPredict:
@@ -150,7 +156,7 @@ class TestPredict:
     def test_per_job_beta_changes_selection(self):
         policy = bind(BsldThresholdPolicy(1.5, None))
         mem_bound = make_job(runtime=5000.0, requested=5000.0, beta=0.1)
-        assert policy.select_gear(mem_bound, ctx()).frequency == 0.8
+        assert gear(policy, mem_bound).frequency == 0.8
 
 
 class TestValidation:
@@ -168,16 +174,35 @@ class TestValidation:
         assert "strict" in BsldThresholdPolicy(2.0, None, strict_top_backfill=True).describe()
 
     def test_gear_dependent_wait_context(self):
-        """SchedulingContext supports per-gear wait times (conservative BF)."""
+        """``wait_for`` supplies per-gear wait times (conservative BF)."""
         policy = bind(BsldThresholdPolicy(1.5, None))
         job = make_job(runtime=5000.0, requested=5000.0)
-        # Lower gears imply huge waits; only 2.0 GHz sees a zero wait.
-        context = SchedulingContext(
-            now=0.0,
-            wait_time_for=lambda gear: 0.0 if gear.frequency >= 2.0 else 1e6,
-            wq_size=0,
-            utilization=0.0,
-            must_schedule=True,
-            feasible=lambda gear: True,
-        )
-        assert policy.select_gear(job, context).frequency == pytest.approx(2.0)
+
+        # Lower gears imply huge waits; only 2.0 GHz and up see a zero wait.
+        def wait_for(index):
+            return 0.0 if LADDER[index].frequency >= 2.0 else 1e6
+
+        chosen = gear(policy, job, wait=wait_for(TOP), wait_for=wait_for)
+        assert chosen.frequency == pytest.approx(2.0)
+
+
+class TestGearCap:
+    def test_selection_above_cap_steps_down(self):
+        policy = bind(GearCappedPolicy(FixedGearPolicy(), 1.7))
+        assert gear(policy, make_job()).frequency == pytest.approx(1.7)
+
+    def test_selection_below_cap_unchanged(self):
+        policy = bind(GearCappedPolicy(FixedGearPolicy(0.8), 1.7))
+        assert gear(policy, make_job()).frequency == 0.8
+
+    def test_capped_backfill_skipped_when_cap_gear_infeasible(self):
+        policy = bind(GearCappedPolicy(FixedGearPolicy(), 1.7))
+        assert select(policy, make_job(), must=False, lowest=index_of(2.0)) == -1
+
+    def test_capped_head_always_scheduled(self):
+        policy = bind(GearCappedPolicy(FixedGearPolicy(), 1.7))
+        assert select(policy, make_job(), must=True, lowest=index_of(2.0)) == index_of(1.7)
+
+    def test_cap_below_ladder_clamps_to_lowest(self):
+        policy = bind(GearCappedPolicy(FixedGearPolicy(), 0.5))
+        assert gear(policy, make_job()) == PAPER_GEAR_SET.lowest

@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.core.frequency_policy import SchedulingContext
 from repro.core.gears import PAPER_GEAR_SET
 from repro.core.util_policy import UtilizationTriggeredPolicy
 from repro.power.time_model import BetaTimeModel
 from tests.conftest import make_job
+
+LADDER = PAPER_GEAR_SET.ascending()
+#: ``lowest_feasible`` when the admission test rejects every gear.
+NONE_FEASIBLE = len(LADDER)
 
 
 def bind(policy=None):
@@ -15,56 +18,55 @@ def bind(policy=None):
     return policy
 
 
-def ctx(util, must=True, feasible=None):
-    return SchedulingContext.with_fixed_wait(
-        now=0.0,
-        wait_time=0.0,
-        wq_size=0,
-        utilization=util,
-        must_schedule=must,
-        feasible=feasible or (lambda gear: True),
-    )
+def select(policy, util, must=True, lowest=0):
+    return policy.select(make_job(), 0.0, 0, util, must, lowest)
+
+
+def gear(policy, util, **ctx):
+    index = select(policy, util, **ctx)
+    assert index >= 0, "the policy skipped the job"
+    return LADDER[index]
 
 
 class TestGearMapping:
     def test_idle_machine_lowest_gear(self):
-        assert bind().select_gear(make_job(), ctx(0.1)).frequency == 0.8
+        assert gear(bind(), 0.1).frequency == 0.8
 
     def test_mid_utilization_mid_gear(self):
-        assert bind().select_gear(make_job(), ctx(0.5)).frequency == pytest.approx(1.7)
+        assert gear(bind(), 0.5).frequency == pytest.approx(1.7)
 
     def test_busy_machine_top_gear(self):
-        assert bind().select_gear(make_job(), ctx(0.9)).frequency == 2.3
+        assert gear(bind(), 0.9).frequency == 2.3
 
     def test_boundaries_are_exclusive(self):
         policy = bind()
-        assert policy.select_gear(make_job(), ctx(0.4)).frequency == pytest.approx(1.7)
-        assert policy.select_gear(make_job(), ctx(0.6)).frequency == 2.3
+        assert gear(policy, 0.4).frequency == pytest.approx(1.7)
+        assert gear(policy, 0.6).frequency == 2.3
 
     def test_custom_steps(self):
         policy = bind(UtilizationTriggeredPolicy(steps=((0.8, 1),)))
-        assert policy.select_gear(make_job(), ctx(0.5)).frequency == pytest.approx(1.1)
-        assert policy.select_gear(make_job(), ctx(0.9)).frequency == 2.3
+        assert gear(policy, 0.5).frequency == pytest.approx(1.1)
+        assert gear(policy, 0.9).frequency == 2.3
 
     def test_gear_index_clamped_to_ladder(self):
         policy = bind(UtilizationTriggeredPolicy(steps=((0.9, 99),)))
-        assert policy.select_gear(make_job(), ctx(0.1)) == PAPER_GEAR_SET.top
+        assert gear(policy, 0.1) == PAPER_GEAR_SET.top
 
 
 class TestFeasibilityFallback:
     def test_falls_back_to_faster_gear(self):
         policy = bind()
-        gear = policy.select_gear(make_job(), ctx(0.1, feasible=lambda g: g.frequency >= 2.0))
-        assert gear.frequency == pytest.approx(2.0)
+        # Only gears from 2.0 GHz up are feasible.
+        lowest = LADDER.index(PAPER_GEAR_SET.by_frequency(2.0))
+        assert gear(policy, 0.1, lowest=lowest).frequency == pytest.approx(2.0)
 
     def test_backfill_may_fail(self):
         policy = bind()
-        assert policy.select_gear(make_job(), ctx(0.1, must=False, feasible=lambda g: False)) is None
+        assert select(policy, 0.1, must=False, lowest=NONE_FEASIBLE) == -1
 
     def test_head_always_scheduled(self):
         policy = bind()
-        gear = policy.select_gear(make_job(), ctx(0.1, must=True, feasible=lambda g: False))
-        assert gear == PAPER_GEAR_SET.top
+        assert gear(policy, 0.1, must=True, lowest=NONE_FEASIBLE) == PAPER_GEAR_SET.top
 
 
 class TestValidation:

@@ -44,6 +44,7 @@ POLICIES = {
     "bsld(1.5,NO)": PolicySpec.power_aware(1.5, None),
     "bsld(2,4)": PolicySpec.power_aware(2.0, 4),
     "bsld(3,0)-strict": PolicySpec.power_aware(3.0, 0, strict_top_backfill=True),
+    "util": PolicySpec(kind="util"),
 }
 
 
@@ -83,9 +84,9 @@ def test_lanes_identical_variants(spec):
 @pytest.mark.parametrize(
     "spec, kwargs",
     [
-        # Sleep policies, the conservative scheduler, validate mode and
-        # the util policy are outside the fused core: the columnar lane
-        # must fall back to the reference core and still match.
+        # Sleep policies, the conservative scheduler and validate mode
+        # are outside the fused core: the columnar lane must fall back
+        # to the reference core and still match.
         (
             RunSpec(
                 workload="SDSC", n_jobs=200, seed=2,

@@ -128,14 +128,37 @@ class TestCheckpointResume:
 
     def test_torn_trailing_line_tolerated(self, tmp_path):
         specs = sweep_specs()[:3]
-        run_sweep(
-            specs, manifest_path=tmp_path / "m.jsonl", cache_dir=tmp_path / "c",
-            max_workers=1,
-        )
-        with open(tmp_path / "m.jsonl", "a", encoding="utf-8") as stream:
+        path = tmp_path / "m.jsonl"
+        kwargs = dict(manifest_path=path, cache_dir=tmp_path / "c", max_workers=1)
+        first = run_sweep(specs, **kwargs)
+        body = path.read_bytes()
+        with open(path, "a", encoding="utf-8") as stream:
             stream.write('{"status": "do')  # crash mid-append
-        manifest = SweepManifest.load(tmp_path / "m.jsonl")
+        manifest = SweepManifest.load(path)
         assert len(manifest.done) == len(specs)
+
+        # Crash mid-append of a real record: the last "done" line loses
+        # its tail.  Each resume must cut the fragment before appending,
+        # or the next one finds a corrupt line that is no longer last.
+        last = body.rstrip(b"\n").rfind(b"\n") + 1
+        path.write_bytes(body[: last + 20])
+        assert len(SweepManifest.load(path).done) == len(specs) - 1
+        for _ in range(2):
+            resumed = run_sweep(specs, resume=True, **kwargs)
+            assert as_bytes(resumed.results) == as_bytes(first.results)
+            assert resumed.completed == 0
+        assert len(SweepManifest.load(path).done) == len(specs)
+        assert path.read_bytes().endswith(b"\n")
+
+    def test_corrupt_inner_line_refused(self, tmp_path):
+        specs = sweep_specs()[:3]
+        path = tmp_path / "m.jsonl"
+        run_sweep(specs, manifest_path=path, cache_dir=tmp_path / "c", max_workers=1)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1][:20] + b"\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError, match="line 2"):
+            SweepManifest.load(path)
 
     def test_duplicate_specs_count_once(self, tmp_path):
         spec = sweep_specs()[0]
