@@ -44,7 +44,6 @@ hash) makes repeated sweeps — the 60-run grids behind Figures 3-5 and
 
 from __future__ import annotations
 
-import itertools
 import json
 import multiprocessing
 import os
@@ -56,6 +55,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.api import Simulation, normalize_spec
+from repro.atomic import write_atomic
 from repro.faults import InjectedCrash, fire as fault_fire, torn_write as fault_torn_write
 from repro.registry import WORKLOAD_SOURCES
 from repro.serialize import (
@@ -77,12 +77,6 @@ __all__ = ["BatchReport", "BatchRunner", "SpecFailure"]
 #: Populated in the parent immediately before the pool forks; workers
 #: inherit it copy-on-write and never mutate it.
 _WORKLOAD_STORE: dict[tuple, "WorkloadBundle"] = {}
-
-#: Monotonic per-process token stream for cache temp names.  Keying the
-#: temp file by pid alone is not enough: two runners in threads of one
-#: process storing the same spec would write the same temp path and tear
-#: each other's rename.
-_TEMP_TOKENS = itertools.count()
 
 _ON_ERROR_MODES = ("raise", "skip", "retry")
 
@@ -299,19 +293,7 @@ class BatchRunner:
                 stream.write(kept)
             raise InjectedCrash(f"torn cache write for {path.name}")
         # Write-then-rename so concurrent sweeps never read a torn file.
-        # The temp name carries a per-process monotonic token on top of
-        # the pid: unique per write, even across threads of one process.
-        temp = path.with_suffix(f".tmp.{os.getpid()}.{next(_TEMP_TOKENS)}")
-        try:
-            with open(temp, "wb") as stream:
-                stream.write(data)
-            os.replace(temp, path)
-        except BaseException:
-            try:
-                os.unlink(temp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, lambda stream: stream.write(data))
 
     # -- execution --------------------------------------------------------------
     def run(
@@ -569,10 +551,16 @@ class BatchRunner:
                     # queue it for isolated, attributable re-runs.
                     isolating.extend(futures.values())
                     futures.clear()
-                    pool.shutdown(wait=False)
+                    # Join the dead pool's threads before forking its
+                    # replacement: a fork taken while they run can
+                    # inherit a lock one of them holds.
+                    pool.shutdown(wait=True, cancel_futures=True)
                     pool = self._spawn_pool(workers)
         finally:
-            pool.shutdown(wait=False)
+            # Join an idle pool so no thread outlives the run; with
+            # futures still in flight (``on_error="raise"``) return at
+            # once instead of waiting for specs nobody will collect.
+            pool.shutdown(wait=not futures, cancel_futures=True)
 
     @staticmethod
     def _share_workloads(pending: Sequence[RunSpec]) -> None:

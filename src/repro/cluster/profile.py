@@ -8,31 +8,23 @@ profile backs conservative backfilling, where every queued job holds a
 reservation, and the *reference* schedulers used to cross-validate the
 fast ones in tests.
 
-Two implementations share one API:
+The profile is a step function ``free(t)`` held as two parallel flat
+lists: ``_times[i]`` starts segment ``i``, which spans to
+``_times[i+1]`` (the last extends to infinity) with ``_free[i]``
+processors available.  Every operation is a bisect plus at most an O(n)
+walk in the breakpoint count.  ``release`` merges equal-free neighbours and
+``advance_origin`` drops the past the simulation clock has passed, so
+the breakpoint count follows the *live* reservations, not how many the
+profile has ever seen.
 
-* :class:`AvailabilityProfile` — the production structure: an indexed
-  ("unrolled skip-list") profile holding breakpoints in blocks of
-  ``block_size`` segments, each block carrying a lazy free-count offset
-  plus min/max summaries.  ``reserve``/``release`` touch whole interior
-  blocks in O(1) via the lazy offset, and ``min_free``/``find_start``
-  skip whole blocks through the summaries, so a profile with *n*
-  breakpoints costs O(n / block_size + block_size) per operation
-  instead of O(n).  A profile that fits in one block degrades exactly
-  to the flat bisect-backed array, so small profiles pay no indexing
-  overhead — the structure is effectively chosen by profile size.
-* :class:`ReferenceAvailabilityProfile` — the original flat
-  breakpoint-list implementation, kept verbatim as the obviously
-  correct reference; hypothesis differentials in
-  ``tests/cluster/test_profile_properties.py`` pin the indexed profile
-  to it operation for operation.
-
-Both are step functions ``free(t)``: segment ``i`` spans from its
-breakpoint to the next (the last extends to infinity).  The indexed
-profile additionally keeps itself *compacted*: adjacent segments with
-equal free counts are merged eagerly after every mutation, so the
-breakpoint count stays bounded by the number of live reservations, not
-by the number of reservations ever seen (``advance_origin`` drops the
-historical prefix the simulation clock has passed).
+Why no index: the profiles conservative backfilling plans on are
+small.  Under DVFS(2, NO) the largest per-pass copy holds 95
+breakpoints at SDSC-1k and 278 at SDSC-5k, and at that size a bisect
+plus a list walk beats a blocked index (breakpoints in blocks of 64
+with lazy per-block offsets, min/max summaries and eager merging): the
+index ran conservative DVFS(2, NO) 2.4x slower on SDSC-5k (median
+15.3 s vs 6.4 s over 5 alternating pairs on 2 vCPUs) and 2.2x slower
+on CTC-5k (2.4 s vs 1.1 s), with byte-identical schedules.
 """
 
 from __future__ import annotations
@@ -40,503 +32,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterator
 
-__all__ = ["AvailabilityProfile", "ReferenceAvailabilityProfile"]
+__all__ = ["AvailabilityProfile"]
 
 
 class AvailabilityProfile:
-    """Indexed availability profile (see module docstring)."""
-
-    __slots__ = ("_total", "_B", "_bt", "_bf", "_badd", "_bmin", "_bmax", "_bstart")
-
-    def __init__(self, total_cpus: int, origin: float = 0.0, *, block_size: int = 64) -> None:
-        if total_cpus <= 0:
-            raise ValueError(f"profile needs at least 1 CPU, got {total_cpus}")
-        if block_size < 2:
-            raise ValueError(f"block_size must be at least 2, got {block_size}")
-        self._total = total_cpus
-        self._B = block_size
-        # Parallel per-block lists: breakpoint times, stored free counts,
-        # lazy free offset, effective min/max, and first breakpoint (the
-        # block-level bisect key).  Effective free = stored + offset.
-        self._bt: list[list[float]] = [[origin]]
-        self._bf: list[list[int]] = [[total_cpus]]
-        self._badd: list[int] = [0]
-        self._bmin: list[int] = [total_cpus]
-        self._bmax: list[int] = [total_cpus]
-        self._bstart: list[float] = [origin]
-
-    # -- introspection -------------------------------------------------------
-    @property
-    def total_cpus(self) -> int:
-        return self._total
-
-    @property
-    def origin(self) -> float:
-        return self._bt[0][0]
-
-    def segments(self) -> Iterator[tuple[float, float, int]]:
-        """Yield ``(start, end, free)`` triples; the last end is ``inf``."""
-        blocks = len(self._bt)
-        for bi in range(blocks):
-            times = self._bt[bi]
-            frees = self._bf[bi]
-            add = self._badd[bi]
-            last = len(times) - 1
-            for si, start in enumerate(times):
-                if si < last:
-                    end = times[si + 1]
-                elif bi + 1 < blocks:
-                    end = self._bstart[bi + 1]
-                else:
-                    end = float("inf")
-                yield (start, end, frees[si] + add)
-
-    def breakpoint_count(self) -> int:
-        """Number of segment boundaries currently held (memory proxy)."""
-        return sum(len(times) for times in self._bt)
-
-    def _locate(self, time: float) -> tuple[int, int]:
-        """Block/slot of the segment containing ``time`` (clamped left)."""
-        bi = bisect_right(self._bstart, time) - 1
-        if bi < 0:
-            return (0, 0)
-        si = bisect_right(self._bt[bi], time) - 1
-        if si < 0:
-            si = 0
-        return (bi, si)
-
-    def free_at(self, time: float) -> int:
-        """Free processors at ``time`` (clamped to the origin on the left)."""
-        bi, si = self._locate(time)
-        return self._bf[bi][si] + self._badd[bi]
-
-    def min_free(self, start: float, end: float) -> int:
-        """Minimum free count over ``[start, end)``."""
-        if end < start:
-            raise ValueError(f"interval end {end} precedes start {start}")
-        if end == start:
-            return self.free_at(start)
-        bi, si = self._locate(start)
-        blocks = len(self._bt)
-        lowest = self._total
-        while bi < blocks:
-            times = self._bt[bi]
-            if si == 0 and times[-1] < end:
-                # Every segment of this block lies in the window.
-                if self._bmin[bi] < lowest:
-                    lowest = self._bmin[bi]
-                bi += 1
-                continue
-            frees = self._bf[bi]
-            add = self._badd[bi]
-            n = len(times)
-            while si < n:
-                if times[si] >= end:
-                    return lowest
-                value = frees[si] + add
-                if value < lowest:
-                    lowest = value
-                si += 1
-            bi += 1
-            si = 0
-        return lowest
-
-    def check_consistency(self) -> None:
-        """Verify the blocked-index invariants (sanitizer hook).
-
-        The block summaries (``_bstart``/``_bmin``/``_bmax``) are what
-        lets searches skip whole blocks; a stale summary silently makes
-        ``find_start`` return wrong allocations.  Checks parallel-list
-        alignment, strictly-increasing breakpoints, capacity bounds
-        ``0 <= free <= total`` on every segment, summary freshness, and
-        the no-equal-neighbours compaction invariant.  O(breakpoints);
-        called only under :mod:`repro.analysis.sanitize`.
-        """
-        from repro.analysis.sanitize import require
-
-        blocks = len(self._bt)
-        require(blocks >= 1, "profile lost its last block")
-        for name, column in (
-            ("_bf", self._bf), ("_badd", self._badd), ("_bmin", self._bmin),
-            ("_bmax", self._bmax), ("_bstart", self._bstart),
-        ):
-            require(
-                len(column) == blocks,
-                f"parallel block list {name} has {len(column)} entries, "
-                f"expected {blocks}",
-            )
-        previous_time = float("-inf")
-        previous_free: int | None = None
-        for bi in range(blocks):
-            times = self._bt[bi]
-            frees = self._bf[bi]
-            add = self._badd[bi]
-            require(len(times) > 0, f"block {bi} is empty")
-            require(
-                len(times) == len(frees),
-                f"block {bi} time/free columns disagree",
-            )
-            require(
-                self._bstart[bi] == times[0],
-                f"block {bi} bisect key {self._bstart[bi]} != first "
-                f"breakpoint {times[0]}",
-            )
-            effective = [value + add for value in frees]
-            require(
-                self._bmin[bi] == min(effective),
-                f"block {bi} min summary stale",
-            )
-            require(
-                self._bmax[bi] == max(effective),
-                f"block {bi} max summary stale",
-            )
-            for si, time in enumerate(times):
-                require(
-                    time > previous_time,
-                    f"breakpoints not strictly increasing at block {bi} "
-                    f"slot {si} ({time} after {previous_time})",
-                )
-                previous_time = time
-                free = effective[si]
-                require(
-                    0 <= free <= self._total,
-                    f"free count {free} outside [0, {self._total}] at "
-                    f"t={time}",
-                )
-                require(
-                    previous_free is None or free != previous_free,
-                    f"uncompacted equal-free neighbour at t={time} "
-                    f"(free={free})",
-                )
-                previous_free = free
-
-    # -- mutation --------------------------------------------------------------
-    def _recompute_bounds(self, bi: int) -> None:
-        frees = self._bf[bi]
-        add = self._badd[bi]
-        self._bmin[bi] = min(frees) + add
-        self._bmax[bi] = max(frees) + add
-
-    def _push(self, bi: int) -> None:
-        """Fold the lazy offset into the stored values of block ``bi``."""
-        add = self._badd[bi]
-        if add:
-            self._bf[bi] = [value + add for value in self._bf[bi]]
-            self._badd[bi] = 0
-
-    def _split(self, bi: int) -> None:
-        """Split an overfull block in two (keeps ops O(block_size))."""
-        times = self._bt[bi]
-        half = len(times) // 2
-        self._bt.insert(bi + 1, times[half:])
-        del times[half:]
-        frees = self._bf[bi]
-        self._bf.insert(bi + 1, frees[half:])
-        del frees[half:]
-        self._badd.insert(bi + 1, self._badd[bi])
-        self._bmin.insert(bi + 1, 0)
-        self._bmax.insert(bi + 1, 0)
-        self._bstart.insert(bi + 1, self._bt[bi + 1][0])
-        self._recompute_bounds(bi)
-        self._recompute_bounds(bi + 1)
-
-    def _ensure_breakpoint(self, time: float) -> tuple[int, int]:
-        """Ensure a segment boundary at ``time``; return its position."""
-        if time < self._bt[0][0]:
-            raise ValueError(f"time {time} precedes the profile origin {self._bt[0][0]}")
-        bi, si = self._locate(time)
-        times = self._bt[bi]
-        if times[si] == time:
-            return (bi, si)
-        times.insert(si + 1, time)
-        self._bf[bi].insert(si + 1, self._bf[bi][si])
-        if len(times) > 2 * self._B:
-            half = len(times) // 2
-            self._split(bi)
-            if si + 1 >= half:
-                return (bi + 1, si + 1 - half)
-        return (bi, si + 1)
-
-    def _range_bounds(self, bi: int, lo: int, hi_block: int, hi_slot: int) -> tuple[int, int]:
-        """``(lo, hi)`` slot window of block ``bi`` within the global range."""
-        hi = hi_slot if bi == hi_block else len(self._bt[bi])
-        return (lo, hi)
-
-    def _check_range(self, b1: int, s1: int, b2: int, s2: int, size: int, releasing: bool) -> None:
-        """Two-phase guard: verify the whole range before mutating any of it."""
-        for bi in range(b1, b2 + 1):
-            lo = s1 if bi == b1 else 0
-            lo, hi = self._range_bounds(bi, lo, b2, s2)
-            if lo >= hi:
-                continue
-            if releasing:
-                if lo == 0 and hi == len(self._bf[bi]):
-                    worst = self._bmax[bi]
-                else:
-                    add = self._badd[bi]
-                    worst = max(self._bf[bi][lo:hi]) + add
-                if worst + size > self._total:
-                    raise ValueError(
-                        f"over-release: segment [{self._segment_time(bi, lo, worst, releasing)}, ...) "
-                        f"would hold {worst + size} of {self._total} CPUs"
-                    )
-            else:
-                if lo == 0 and hi == len(self._bf[bi]):
-                    worst = self._bmin[bi]
-                else:
-                    add = self._badd[bi]
-                    worst = min(self._bf[bi][lo:hi]) + add
-                if worst < size:
-                    raise ValueError(
-                        f"over-reservation: segment [{self._segment_time(bi, lo, worst, releasing)}, ...) "
-                        f"has {worst} free, requested {size}"
-                    )
-
-    def _segment_time(self, bi: int, lo: int, worst: int, releasing: bool) -> float:
-        """First segment time in block ``bi`` at/after ``lo`` holding ``worst``."""
-        frees = self._bf[bi]
-        add = self._badd[bi]
-        for si in range(lo, len(frees)):
-            if frees[si] + add == worst:
-                return self._bt[bi][si]
-        return self._bt[bi][lo]  # pragma: no cover - defensive
-
-    def _range_add(self, b1: int, s1: int, b2: int, s2: int, delta: int) -> None:
-        for bi in range(b1, b2 + 1):
-            lo = s1 if bi == b1 else 0
-            lo, hi = self._range_bounds(bi, lo, b2, s2)
-            if lo >= hi:
-                continue
-            if lo == 0 and hi == len(self._bf[bi]):
-                self._badd[bi] += delta
-                self._bmin[bi] += delta
-                self._bmax[bi] += delta
-            else:
-                self._push(bi)
-                frees = self._bf[bi]
-                for si in range(lo, hi):
-                    frees[si] += delta
-                self._recompute_bounds(bi)
-
-    def _delete_slot(self, bi: int, si: int) -> None:
-        """Remove one breakpoint (merging its segment into the previous)."""
-        del self._bt[bi][si]
-        del self._bf[bi][si]
-        if not self._bt[bi]:
-            del self._bt[bi]
-            del self._bf[bi]
-            del self._badd[bi]
-            del self._bmin[bi]
-            del self._bmax[bi]
-            del self._bstart[bi]
-        else:
-            if si == 0:
-                self._bstart[bi] = self._bt[bi][0]
-            self._recompute_bounds(bi)
-
-    def _next_slot(self, bi: int, si: int) -> tuple[int, int] | None:
-        if si + 1 < len(self._bt[bi]):
-            return (bi, si + 1)
-        if bi + 1 < len(self._bt):
-            return (bi + 1, 0)
-        return None
-
-    def _merge_around(self, t_lo: float, t_hi: float) -> None:
-        """Merge equal-free adjacent segments with boundaries in [t_lo, t_hi].
-
-        Mutations only change free counts inside ``[t_lo, t_hi)``, so
-        these are the only boundaries a merge can newly appear at;
-        merging eagerly keeps the global no-equal-neighbours invariant,
-        which in turn bounds the breakpoint count by the number of live
-        reservations.
-        """
-        bi, si = self._locate(t_lo)
-        if si > 0:
-            si -= 1  # the (predecessor, start) pair may have equalised too
-        elif bi > 0:
-            bi -= 1
-            si = len(self._bt[bi]) - 1
-        value = self._bf[bi][si] + self._badd[bi]
-        while True:
-            nxt = self._next_slot(bi, si)
-            if nxt is None:
-                return
-            nbi, nsi = nxt
-            ntime = self._bt[nbi][nsi]
-            nvalue = self._bf[nbi][nsi] + self._badd[nbi]
-            if nvalue == value:
-                self._delete_slot(nbi, nsi)
-                # Stay on (bi, si); deletion may have dropped a block or
-                # shifted nothing before the current position.
-                if nbi == bi and nsi <= si:  # pragma: no cover - defensive
-                    si -= 1
-            else:
-                if ntime > t_hi:
-                    return
-                bi, si = self._locate(ntime)
-                value = nvalue
-
-    def reserve(self, start: float, end: float, size: int) -> None:
-        """Consume ``size`` processors over ``[start, end)``.
-
-        Raises ``ValueError`` if any touched segment would go negative;
-        callers are expected to have verified fit via :meth:`min_free`
-        or :meth:`find_start`.
-        """
-        if size <= 0:
-            raise ValueError(f"reservation size must be positive, got {size}")
-        if end <= start:
-            raise ValueError(f"reservation interval [{start}, {end}) is empty")
-        self._ensure_breakpoint(start)
-        b2, s2 = self._ensure_breakpoint(end)  # segment starting at `end` keeps its value
-        b1, s1 = self._locate(start)  # re-locate: ensuring `end` may split a block
-        self._check_range(b1, s1, b2, s2, size, releasing=False)
-        self._range_add(b1, s1, b2, s2, -size)
-        self._merge_around(start, end)
-
-    def release(self, start: float, end: float, size: int) -> None:
-        """Undo a :meth:`reserve` over exactly the same interval."""
-        if size <= 0:
-            raise ValueError(f"release size must be positive, got {size}")
-        if end <= start:
-            raise ValueError(f"release interval [{start}, {end}) is empty")
-        self._ensure_breakpoint(start)
-        b2, s2 = self._ensure_breakpoint(end)
-        b1, s1 = self._locate(start)  # re-locate: ensuring `end` may split a block
-        self._check_range(b1, s1, b2, s2, size, releasing=True)
-        self._range_add(b1, s1, b2, s2, size)
-        self._merge_around(start, end)
-
-    def advance_origin(self, time: float) -> None:
-        """Drop history before ``time`` (the simulation clock moved on)."""
-        if time <= self._bt[0][0]:
-            return
-        bi, si = self._locate(time)
-        if bi == 0 and si == 0:
-            return
-        # Drop whole dead blocks, then trim the surviving block's prefix.
-        for _ in range(bi):
-            del self._bt[0]
-            del self._bf[0]
-            del self._badd[0]
-            del self._bmin[0]
-            del self._bmax[0]
-            del self._bstart[0]
-        if si > 0:
-            del self._bt[0][:si]
-            del self._bf[0][:si]
-            self._recompute_bounds(0)
-        self._bt[0][0] = time
-        self._bstart[0] = time
-
-    # -- search ------------------------------------------------------------------
-    def _next_with_free(self, bi: int, si: int, size: int) -> tuple[int, int]:
-        """First segment at/after ``(bi, si)`` with free >= ``size``."""
-        blocks = len(self._bt)
-        while bi < blocks:
-            if self._bmin[bi] >= size:
-                return (bi, si)
-            frees = self._bf[bi]
-            add = self._badd[bi]
-            n = len(frees)
-            while si < n:
-                if frees[si] + add >= size:
-                    return (bi, si)
-                si += 1
-            bi += 1
-            si = 0
-        raise AssertionError(
-            "unreachable: the final profile segment must satisfy any "
-            "size <= total_cpus"
-        )
-
-    def _first_violation(self, bi: int, si: int, end: float, size: int) -> tuple[int, int] | None:
-        """First segment from ``(bi, si)`` with time < ``end`` and free < ``size``."""
-        blocks = len(self._bt)
-        while bi < blocks:
-            times = self._bt[bi]
-            if si == 0 and self._bmin[bi] >= size:
-                if times[-1] >= end:
-                    return None
-                bi += 1
-                continue
-            frees = self._bf[bi]
-            add = self._badd[bi]
-            n = len(times)
-            while si < n:
-                if times[si] >= end:
-                    return None
-                if frees[si] + add < size:
-                    return (bi, si)
-                si += 1
-            bi += 1
-            si = 0
-        return None
-
-    def find_start(self, earliest: float, duration: float, size: int) -> float:
-        """Earliest ``t >= earliest`` with ``free >= size`` over ``[t, t+duration)``.
-
-        Mirrors ``findAllocation`` in the paper.  Always succeeds for
-        ``size <= total_cpus`` because the final segment of the profile
-        has every reservation expired.
-        """
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        if size > self._total:
-            raise ValueError(f"size {size} exceeds machine capacity {self._total}")
-        if duration < 0.0:
-            raise ValueError(f"duration must be non-negative, got {duration}")
-        if earliest < self._bt[0][0]:
-            earliest = self._bt[0][0]
-        bi, si = self._locate(earliest)
-        while True:
-            bi, si = self._next_with_free(bi, si, size)
-            candidate = self._bt[bi][si]
-            if candidate < earliest:
-                candidate = earliest
-            violation = self._first_violation(bi, si, candidate + duration, size)
-            if violation is None:
-                return candidate
-            bi, si = violation  # the violating segment; skip past it
-
-    def fits_at(self, start: float, duration: float, size: int) -> bool:
-        """Whether ``size`` CPUs are free over ``[start, start+duration)``."""
-        if duration < 0.0:
-            raise ValueError(f"duration must be non-negative, got {duration}")
-        if size <= 0 or size > self._total:
-            return False
-        if duration == 0.0:
-            return self.free_at(start) >= size
-        return self.min_free(start, start + duration) >= size
-
-    # -- housekeeping ---------------------------------------------------------------
-    def copy(self) -> "AvailabilityProfile":
-        clone = AvailabilityProfile.__new__(AvailabilityProfile)
-        clone._total = self._total
-        clone._B = self._B
-        clone._bt = [list(block) for block in self._bt]
-        clone._bf = [list(block) for block in self._bf]
-        clone._badd = list(self._badd)
-        clone._bmin = list(self._bmin)
-        clone._bmax = list(self._bmax)
-        clone._bstart = list(self._bstart)
-        return clone
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        parts = ", ".join(f"[{s:g},{'inf' if e == float('inf') else format(e, 'g')}):{f}"
-                          for s, e, f in self.segments())
-        return f"AvailabilityProfile({parts})"
-
-
-class ReferenceAvailabilityProfile:
-    """The original flat breakpoint-list profile (differential reference).
-
-    ``_times[i]`` is the start of segment ``i``, which spans to
-    ``_times[i+1]`` (the last segment extends to infinity) with
-    ``_free[i]`` processors available.  Every operation is O(n) in the
-    breakpoint count; the indexed :class:`AvailabilityProfile` must
-    match it as a step function on any operation sequence.
-    """
+    """Flat breakpoint-list availability profile (see module docstring)."""
 
     __slots__ = ("_total", "_times", "_free")
 
@@ -590,6 +90,35 @@ class ReferenceAvailabilityProfile:
                 lowest = free[i]
         return lowest
 
+    def check_consistency(self) -> None:
+        """Verify the profile's structural invariants (sanitizer hook).
+
+        Checks that the time and free columns are aligned and non-empty,
+        that breakpoints strictly increase, and that every segment
+        holds ``0 <= free <= total``.  Equal-free neighbours are legal:
+        only ``release`` merges them.  O(breakpoints); called only under
+        :mod:`repro.analysis.sanitize`.
+        """
+        from repro.analysis.sanitize import require
+
+        times = self._times
+        free = self._free
+        require(len(times) >= 1, "profile lost its origin segment")
+        require(
+            len(times) == len(free),
+            f"time/free columns disagree ({len(times)} vs {len(free)} entries)",
+        )
+        for i, time in enumerate(times):
+            require(
+                i == 0 or time > times[i - 1],
+                f"breakpoints not strictly increasing at segment {i} "
+                f"({time} after {times[i - 1]})",
+            )
+            require(
+                0 <= free[i] <= self._total,
+                f"free count {free[i]} outside [0, {self._total}] at t={time}",
+            )
+
     # -- mutation --------------------------------------------------------------
     def _breakpoint(self, time: float) -> int:
         """Ensure a segment boundary at ``time``; return its segment index."""
@@ -603,7 +132,12 @@ class ReferenceAvailabilityProfile:
         return index + 1
 
     def reserve(self, start: float, end: float, size: int) -> None:
-        """Consume ``size`` processors over ``[start, end)``."""
+        """Consume ``size`` processors over ``[start, end)``.
+
+        Raises ``ValueError`` if any touched segment would go negative;
+        callers are expected to have verified fit via :meth:`min_free`
+        or :meth:`find_start`.
+        """
         if size <= 0:
             raise ValueError(f"reservation size must be positive, got {size}")
         if end <= start:
@@ -648,7 +182,12 @@ class ReferenceAvailabilityProfile:
 
     # -- search ------------------------------------------------------------------
     def find_start(self, earliest: float, duration: float, size: int) -> float:
-        """Earliest ``t >= earliest`` with ``free >= size`` over ``[t, t+duration)``."""
+        """Earliest ``t >= earliest`` with ``free >= size`` over ``[t, t+duration)``.
+
+        Mirrors ``findAllocation`` in the paper.  Always succeeds for
+        ``size <= total_cpus`` because the final segment of the profile
+        has every reservation expired.
+        """
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
         if size > self._total:
@@ -709,8 +248,8 @@ class ReferenceAvailabilityProfile:
         self._times = times
         self._free = free
 
-    def copy(self) -> "ReferenceAvailabilityProfile":
-        clone = ReferenceAvailabilityProfile.__new__(ReferenceAvailabilityProfile)
+    def copy(self) -> "AvailabilityProfile":
+        clone = AvailabilityProfile.__new__(AvailabilityProfile)
         clone._total = self._total
         clone._times = list(self._times)
         clone._free = list(self._free)
@@ -719,4 +258,4 @@ class ReferenceAvailabilityProfile:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(f"[{s:g},{'inf' if e == float('inf') else format(e, 'g')}):{f}"
                           for s, e, f in self.segments())
-        return f"ReferenceAvailabilityProfile({parts})"
+        return f"AvailabilityProfile({parts})"

@@ -26,7 +26,6 @@ through the :mod:`repro.serialize` codecs and the batch result cache.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import fields
 from typing import TYPE_CHECKING, Any
 
 from repro.metrics.aggregates import nearest_rank
@@ -39,6 +38,7 @@ from repro.sim.events import (
     LifecycleEvent,
     NodesSlept,
     NodesWoke,
+    event_row,
 )
 
 if TYPE_CHECKING:  # imported for annotations only; avoids package cycles
@@ -321,8 +321,9 @@ class EventTraceRecorder(Instrument):
     """Record the raw lifecycle stream as JSON-ready rows.
 
     The structured replacement for ad-hoc post-run exports: each row is
-    the event's fields plus an ``"event"`` type tag, streamable to CSV
-    via :func:`repro.scheduling.export.event_trace_to_csv`.  ``kinds``
+    :func:`~repro.sim.events.event_row` — the event's fields plus an
+    ``"event"`` type tag — streamable to CSV via
+    :func:`repro.scheduling.export.event_trace_to_csv`.  ``kinds``
     filters by event class name; ``limit`` caps memory (excess events
     are counted, not stored).
     """
@@ -351,10 +352,7 @@ class EventTraceRecorder(Instrument):
         if self.limit is not None and len(self.events) >= self.limit:
             self._dropped += 1
             return
-        row: dict[str, Any] = {"event": kind}
-        for field in fields(event):
-            row[field.name] = getattr(event, field.name)
-        self.events.append(row)
+        self.events.append(event_row(event))
 
     def report(self) -> dict[str, Any]:
         return {

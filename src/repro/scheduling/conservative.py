@@ -20,6 +20,8 @@ releases its remaining claim, and each pass merely advances the profile
 origin and copies it.  The rebuild-per-pass implementation lives on as
 :class:`~repro.scheduling.reference.ReferenceConservativeBackfilling`,
 and a differential test pins this scheduler to it schedule-for-schedule.
+Both plan on the one flat :class:`~repro.cluster.profile.AvailabilityProfile`
+(see that module for why it carries no index).
 """
 
 from __future__ import annotations
@@ -125,8 +127,9 @@ class ConservativeBackfilling(Scheduler):
     def _sanitize_pass(self, now: float) -> None:
         super()._sanitize_pass(now)
         # The incremental running-set profile is this scheduler's extra
-        # structure; a stale block summary would silently misplace
-        # reservations on the next replanning pass.
+        # structure; a misordered breakpoint or an out-of-range free
+        # count would silently misplace reservations on the next
+        # replanning pass.
         self._profile.check_consistency()
 
     # -- the pass ----------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 These schedulers reimplement :class:`repro.scheduling.easy.EasyBackfilling`
 and :class:`repro.scheduling.conservative.ConservativeBackfilling`
-directly on top of the flat
-:class:`~repro.cluster.profile.ReferenceAvailabilityProfile`, the way the paper's
-``findAllocation`` / ``TryToFindBackfilledAllocation`` pseudocode reads:
-every pass rebuilds the running-jobs profile from scratch.  They exist
-so property tests can assert that the fast implementations — EASY's
-O(1) admission test, conservative's incrementally-maintained profile —
+directly on top of :class:`~repro.cluster.profile.AvailabilityProfile`,
+the way the paper's ``findAllocation`` / ``TryToFindBackfilledAllocation``
+pseudocode reads: every pass rebuilds the running-jobs profile from
+scratch.  Conservative backfilling plans on the same profile class, so
+the two conservative schedulers differ only in how they maintain it
+(rebuilt per pass here, kept incrementally there).  They exist so
+property tests can assert that the fast implementations — EASY's O(1)
+admission test, conservative's incrementally-maintained profile —
 produce *identical schedules* (same start times, same gears) on
 arbitrary workloads.  Do not use them for large traces.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import islice
 
-from repro.cluster.profile import ReferenceAvailabilityProfile
+from repro.cluster.profile import AvailabilityProfile
 from repro.scheduling.base import Scheduler
 from repro.scheduling.job import Job
 from repro.sim.engine import SimulationError
@@ -58,7 +60,7 @@ class ReferenceEasyBackfilling(Scheduler):
             trial = self._with_head_reserved(profile, now, head, t_res)
 
     # -- profile plumbing -----------------------------------------------------
-    def _running_profile(self, now: float) -> ReferenceAvailabilityProfile:
+    def _running_profile(self, now: float) -> AvailabilityProfile:
         """Free-CPU profile from running jobs' estimated completions.
 
         Jobs whose estimate has already elapsed (a completion pending at
@@ -66,13 +68,13 @@ class ReferenceEasyBackfilling(Scheduler):
         mirroring the fast implementation's reservation walk; actual
         availability *right now* is separately gated on the pool.
         """
-        profile = ReferenceAvailabilityProfile(self._pool.total_cpus, origin=now)
+        profile = AvailabilityProfile(self._pool.total_cpus, origin=now)
         for end, _job_id, size in self._estimates:
             if end > now:
                 profile.reserve(now, end, size)
         return profile
 
-    def _head_start(self, profile: ReferenceAvailabilityProfile, now: float, head: Job) -> float:
+    def _head_start(self, profile: AvailabilityProfile, now: float, head: Job) -> float:
         duration = head.requested_time * self._time_model.coefficient(
             self._gears.top.frequency, head.beta
         )
@@ -88,8 +90,8 @@ class ReferenceEasyBackfilling(Scheduler):
         return t_res
 
     def _with_head_reserved(
-        self, profile: ReferenceAvailabilityProfile, now: float, head: Job, t_res: float
-    ) -> ReferenceAvailabilityProfile:
+        self, profile: AvailabilityProfile, now: float, head: Job, t_res: float
+    ) -> AvailabilityProfile:
         trial = profile.copy()
         duration = head.requested_time * self._time_model.coefficient(
             self._gears.top.frequency, head.beta
@@ -98,7 +100,7 @@ class ReferenceEasyBackfilling(Scheduler):
         trial.reserve(start, start + duration, head.size)
         return trial
 
-    def _lowest_fit(self, trial: ReferenceAvailabilityProfile, job: Job, now: float) -> int:
+    def _lowest_fit(self, trial: AvailabilityProfile, job: Job, now: float) -> int:
         """The lowest ladder index whose stretched window fits ``trial`` now.
 
         Probes every gear from ``Flowest`` up; a shorter window fits
@@ -170,8 +172,8 @@ class ReferenceConservativeBackfilling(Scheduler):
             self.plan_log.append((self._trigger, now, plan))
 
     # -- helpers ---------------------------------------------------------------
-    def _running_profile(self, now: float) -> ReferenceAvailabilityProfile:
-        profile = ReferenceAvailabilityProfile(self._pool.total_cpus, origin=now)
+    def _running_profile(self, now: float) -> AvailabilityProfile:
+        profile = AvailabilityProfile(self._pool.total_cpus, origin=now)
         for end, _job_id, size in self._estimates:
             if end > now:
                 profile.reserve(now, end, size)
@@ -180,7 +182,7 @@ class ReferenceConservativeBackfilling(Scheduler):
     def _scaled_request(self, job: Job, index: int) -> float:
         return job.requested_time * self._coefficients(job.beta)[index]
 
-    def _wait_probe(self, profile: ReferenceAvailabilityProfile, job: Job, now: float):
+    def _wait_probe(self, profile: AvailabilityProfile, job: Job, now: float):
         def wait_for(index: int) -> float:
             duration = self._scaled_request(job, index)
             start = profile.find_start(now, duration, job.size)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.atomic import write_atomic
 from repro.faults import InjectedCrash, torn_write
 from repro.serialize import FORMAT_VERSION
 
@@ -198,25 +199,21 @@ class RunJournal:
     def _compact(self, pending: list[RecoveredJob]) -> None:
         """Atomically rewrite the journal to header + pending entries."""
         header = {"kind": _KIND, "version": JOURNAL_VERSION, "format": FORMAT_VERSION}
-        temp = self.path.with_suffix(f".tmp.{os.getpid()}")
+        lines = [json.dumps(header, sort_keys=True)]
+        for job in pending:
+            entry = {
+                "op": "submitted",
+                "job_id": job.job_id,
+                "key": job.key,
+                "client": job.client,
+                "spec": job.spec,
+            }
+            lines.append(json.dumps(entry, sort_keys=True))
+        data = ("\n".join(lines) + "\n").encode("utf-8")
         try:
-            with open(temp, "w", encoding="utf-8") as stream:
-                stream.write(json.dumps(header, sort_keys=True) + "\n")
-                for job in pending:
-                    entry = {
-                        "op": "submitted",
-                        "job_id": job.job_id,
-                        "key": job.key,
-                        "client": job.client,
-                        "spec": job.spec,
-                    }
-                    stream.write(json.dumps(entry, sort_keys=True) + "\n")
-            os.replace(temp, self.path)
+            write_atomic(self.path, lambda stream: stream.write(data))
         except OSError:
-            try:
-                os.unlink(temp)
-            except OSError:
-                pass
+            pass  # the uncompacted journal still recovers the same jobs
 
     def _rotate_stale(self) -> None:
         """Move an unreadable/old-format journal aside and start fresh."""

@@ -11,20 +11,18 @@ shell).  ``field`` is the offending spec field path when the failure is
 a validation error (see :class:`repro.serialize.SpecValidationError`),
 else ``null``.
 
-Telemetry rows reuse the :class:`~repro.instruments.EventTraceRecorder`
-row shape — the event's dataclass fields plus an ``"event"`` type tag —
-so a streamed trace and a recorded one are interchangeable.  A stream
-always ends with one ``{"event": "EndOfStream", ...}`` sentinel row
-carrying the job's terminal state.
+Telemetry rows are :func:`repro.sim.events.event_row` rows, the same
+rows :class:`~repro.instruments.EventTraceRecorder` records — the
+event's dataclass fields plus an ``"event"`` type tag — so a streamed
+trace and a recorded one are interchangeable.  A stream always ends
+with one ``{"event": "EndOfStream", ...}`` sentinel row carrying the
+job's terminal state.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields as dataclass_fields
 from typing import Any
-
-from repro.sim.events import LifecycleEvent
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -36,7 +34,6 @@ __all__ = [
     "TERMINAL_STATES",
     "END_OF_STREAM",
     "canonical_result_bytes",
-    "event_to_wire",
     "ndjson_line",
     "ndjson_to_sse",
     "sse_line",
@@ -171,29 +168,9 @@ def canonical_result_bytes(payload: dict[str, Any]) -> bytes:
 
 
 # -- telemetry rows -----------------------------------------------------------
-#: Per event class: its ``"event"`` tag and field names, in order.
-_WIRE_SHAPES: dict[type, tuple[str, tuple[str, ...]]] = {}
-
 #: ``json.dumps(row, separators=(",", ":"))`` without building an
 #: encoder per call (telemetry encodes thousands of rows per run).
 _encode_compact = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def event_to_wire(event: LifecycleEvent) -> dict[str, Any]:
-    """One lifecycle event as a JSON-ready row.
-
-    The exact :class:`~repro.instruments.EventTraceRecorder` row shape:
-    the frozen dataclass's fields plus an ``"event"`` type tag.
-    """
-    shape = _WIRE_SHAPES.get(type(event))
-    if shape is None:
-        names = tuple(field.name for field in dataclass_fields(event))
-        shape = _WIRE_SHAPES[type(event)] = (type(event).__name__, names)
-    tag, names = shape
-    row: dict[str, Any] = {"event": tag}
-    for name in names:
-        row[name] = getattr(event, name)
-    return row
 
 
 def ndjson_line(row: dict[str, Any]) -> bytes:

@@ -67,9 +67,9 @@ from repro.api import Simulation
 from repro.experiments.config import RunSpec
 from repro.instruments import Instrument
 from repro.serialize import result_to_dict
-from repro.serve.protocol import canonical_result_bytes, event_to_wire, ndjson_line
+from repro.serve.protocol import canonical_result_bytes, ndjson_line
 from repro.session import SimulationSession
-from repro.sim.events import LifecycleEvent
+from repro.sim.events import LifecycleEvent, event_row
 
 __all__ = ["JobSettings", "SimulationWorker", "WorkerError", "WorkerLost", "WorkerPool"]
 
@@ -133,7 +133,7 @@ class _TelemetryForwarder(Instrument):
     def on_event(self, event: LifecycleEvent) -> None:
         if self._room > 0:
             self._room -= 1
-            self._lines.append(ndjson_line(event_to_wire(event)))
+            self._lines.append(ndjson_line(event_row(event)))
         else:
             self.dropped += 1
 

@@ -12,11 +12,13 @@ Two event vocabularies live here:
   instruments (:mod:`repro.instruments`).  Lifecycle events are frozen
   dataclasses carrying plain scalars only, so an observer can hold,
   hash or serialise them but can never reach back into engine state.
+  :func:`event_row` is their one JSON row encoding, shared by the
+  recorded trace and the serve daemon's telemetry stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from heapq import heappop, heappush
 from typing import Any
@@ -34,6 +36,7 @@ __all__ = [
     "ClockTick",
     "NodesSlept",
     "NodesWoke",
+    "event_row",
 ]
 
 
@@ -374,3 +377,26 @@ class NodesWoke(LifecycleEvent):
 
     count: int
     delay_seconds: float
+
+
+#: Per event class: its ``"event"`` tag and field names, in order.
+_ROW_SHAPES: dict[type[LifecycleEvent], tuple[str, tuple[str, ...]]] = {}
+
+
+def event_row(event: LifecycleEvent) -> dict[str, Any]:
+    """One lifecycle event as a JSON-ready row.
+
+    The class name under ``"event"``, then the dataclass fields in
+    declaration order.  :class:`~repro.instruments.EventTraceRecorder`
+    records these rows and the serve daemon streams them, so a recorded
+    trace and a streamed one are interchangeable by construction.
+    """
+    shape = _ROW_SHAPES.get(type(event))
+    if shape is None:
+        names = tuple(field.name for field in fields(event))
+        shape = _ROW_SHAPES[type(event)] = (type(event).__name__, names)
+    tag, names = shape
+    row: dict[str, Any] = {"event": tag}
+    for name in names:
+        row[name] = getattr(event, name)
+    return row

@@ -37,6 +37,7 @@ import zipfile
 from pathlib import Path
 from typing import Callable, Sequence
 
+from repro.atomic import write_atomic
 from repro.scheduling.job import Job
 from repro.workloads.swf import SwfHeader, read_swf
 
@@ -133,16 +134,14 @@ def jobs_from_columns(columns) -> list[Job]:
 # -- entry I/O ------------------------------------------------------------------
 def _write_entry(path: Path, key: str, jobs: Sequence[Job], meta: dict) -> None:
     """Atomically persist one cache entry; failures are non-fatal."""
-    assert _np is not None
+    np = _np
+    assert np is not None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        temp = path.with_suffix(f".tmp.{os.getpid()}.npz")
         payload = jobs_to_columns(jobs)
-        payload["key"] = _np.array(key)
-        payload["meta"] = _np.array(json.dumps(meta))
-        with open(temp, "wb") as stream:
-            _np.savez_compressed(stream, **payload)
-        os.replace(temp, path)
+        payload["key"] = np.array(key)
+        payload["meta"] = np.array(json.dumps(meta))
+        write_atomic(path, lambda stream: np.savez_compressed(stream, **payload))
     except OSError:
         pass  # read-only checkout, full disk, ...: caching is best-effort
 

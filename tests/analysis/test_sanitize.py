@@ -133,7 +133,7 @@ class TestDetection:
     def test_profile_detects_capacity_violation(self):
         profile = AvailabilityProfile(8)
         profile.reserve(0.0, 10.0, 3)
-        profile._bf[0][0] = 20  # free > total_cpus
+        profile._free[0] = 20  # free > total_cpus
         with pytest.raises(SanitizeError):
             profile.check_consistency()
 

@@ -9,10 +9,7 @@ are load-bearing for every differential test in the suite:
 * ``reserve``/``release`` round-trips restore the profile as a step
   function (segmentation may differ by no-op breakpoints, the function
   may not);
-* the indexed production profile matches the flat
-  :class:`ReferenceAvailabilityProfile` as a step function on arbitrary
-  ``reserve`` / ``release`` / ``advance_origin`` / ``find_start``
-  sequences, across block sizes that force multi-block indexing;
+* ``find_start`` returns the earliest feasible slot;
 * compaction keeps the breakpoint count bounded by the number of
   *live* reservations — not by how many the profile has ever seen.
 """
@@ -22,7 +19,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.profile import AvailabilityProfile, ReferenceAvailabilityProfile
+from repro.cluster.profile import AvailabilityProfile
 
 TOTAL_CPUS = 16
 
@@ -154,94 +151,21 @@ def test_over_reserve_rejected():
         profile.reserve(5.0, 6.0, 1)
 
 
-# -- indexed profile vs flat reference ------------------------------------------
-
-
-@st.composite
-def op_sequence(draw, max_ops: int = 30):
-    """Interleaved reserve/release/advance/find_start requests.
-
-    Releases always target a live reservation (trimmed to the current
-    origin), matching how schedulers drive the profile.
-    """
-    n = draw(st.integers(min_value=1, max_value=max_ops))
-    ops = []
-    live = []
-    origin = 0.0
-    # A throwaway reference tracks feasibility so generated sequences
-    # never violate the profile contract.
-    tracker = ReferenceAvailabilityProfile(TOTAL_CPUS)
-    for _ in range(n):
-        choice = draw(st.integers(min_value=0, max_value=9))
-        if choice <= 4 or not live:
-            start = origin + draw(st.floats(min_value=0.0, max_value=300.0, allow_nan=False))
-            duration = draw(st.floats(min_value=0.001, max_value=150.0, allow_nan=False))
-            size = draw(st.integers(min_value=1, max_value=TOTAL_CPUS))
-            if tracker.min_free(start, start + duration) >= size:
-                tracker.reserve(start, start + duration, size)
-                ops.append(("reserve", start, start + duration, size))
-                live.append([start, start + duration, size])
-        elif choice <= 6:
-            index = draw(st.integers(min_value=0, max_value=len(live) - 1))
-            start, end, size = live.pop(index)
-            start = max(start, origin)
-            if start < end:
-                tracker.release(start, end, size)
-                ops.append(("release", start, end, size))
-        elif choice == 7:
-            time = origin + draw(st.floats(min_value=0.0, max_value=200.0, allow_nan=False))
-            if all(end > time for _s, end, _z in live):
-                tracker.advance_origin(time)
-                ops.append(("advance_origin", time))
-                origin = tracker.origin
-                for entry in live:
-                    entry[0] = max(entry[0], origin)
-        else:
-            earliest = origin + draw(st.floats(min_value=0.0, max_value=400.0, allow_nan=False))
-            duration = draw(st.floats(min_value=0.0, max_value=120.0, allow_nan=False))
-            size = draw(st.integers(min_value=1, max_value=TOTAL_CPUS))
-            ops.append(("find_start", earliest, duration, size))
-    return ops
-
-
-@given(op_sequence(), st.sampled_from([2, 3, 5, 64]))
-@settings(max_examples=80)
-def test_indexed_profile_matches_reference(ops, block_size):
-    """The indexed profile and the flat reference agree operation-for-operation."""
-    indexed = AvailabilityProfile(TOTAL_CPUS, block_size=block_size)
-    reference = ReferenceAvailabilityProfile(TOTAL_CPUS)
-    for op in ops:
-        name, *args = op
-        if name == "find_start":
-            assert indexed.find_start(*args) == reference.find_start(*args), op
-            continue
-        getattr(indexed, name)(*args)
-        getattr(reference, name)(*args)
-        probes = sorted(
-            {t for t, _e, _f in indexed.segments()}
-            | {t for t, _e, _f in reference.segments()}
-        )
-        probes += [p + 0.037 for p in probes]
-        for probe in probes:
-            assert indexed.free_at(probe) == reference.free_at(probe), (op, probe)
-        lo = reference.origin
-        assert indexed.min_free(lo, lo + 500.0) == reference.min_free(lo, lo + 500.0)
-
-
 # -- compaction bounds: memory follows live reservations, not history ----------
 
 
 def test_breakpoint_count_bounded_by_live_reservations():
     """A long reserve/release/advance stream must not accumulate breakpoints.
 
-    Every live reservation contributes at most two boundaries; the
-    profile keeps itself merged and drops the past, so the count must
-    track the live set even after thousands of completed reservations.
+    Every live reservation contributes at most two boundaries; release
+    merges equal neighbours and ``advance_origin`` drops the past, so
+    the count must track the live set even after thousands of completed
+    reservations.
     """
     import random
 
     rng = random.Random(4)
-    profile = AvailabilityProfile(TOTAL_CPUS, block_size=8)
+    profile = AvailabilityProfile(TOTAL_CPUS)
     live = []
     clock = 0.0
     for step in range(4000):

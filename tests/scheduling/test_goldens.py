@@ -48,8 +48,9 @@ SLEEP_SDSC_POLICY = SleepPolicy(
 )
 
 #: Two pinned workloads x {no-DVFS baseline, the paper's DVFS(2, NO)},
-#: plus the reactive power-capping scenario on SDSC and the node-sleep
-#: scenario on SDSC DVFS(2, NO).
+#: plus the reactive power-capping scenario on SDSC, the node-sleep
+#: scenario on SDSC DVFS(2, NO) and conservative backfilling (the
+#: availability-profile planner) on SDSC DVFS(2, NO).
 GOLDEN_SPECS: dict[str, RunSpec] = {
     "sdsc_300_nodvfs": RunSpec(
         workload="SDSC", n_jobs=300, seed=1, policy=PolicySpec.baseline()
@@ -76,6 +77,13 @@ GOLDEN_SPECS: dict[str, RunSpec] = {
     ),
     "ctc_300_dvfs2no": RunSpec(
         workload="CTC", n_jobs=300, seed=1, policy=PolicySpec.power_aware(2.0, None)
+    ),
+    "sdsc_300_conservative": RunSpec(
+        workload="SDSC",
+        n_jobs=300,
+        seed=1,
+        scheduler="conservative",
+        policy=PolicySpec.power_aware(2.0, None),
     ),
 }
 

@@ -15,11 +15,10 @@ from repro.serve.protocol import (
     TERMINAL_STATES,
     ServeError,
     error_json,
-    event_to_wire,
     ndjson_line,
     sse_line,
 )
-from repro.sim.events import JobFinished, JobStarted
+from repro.sim.events import JobFinished, JobStarted, event_row
 
 
 class TestErrorVocabulary:
@@ -90,7 +89,7 @@ class TestJobStates:
 class TestTelemetryRows:
     def test_event_to_wire_carries_all_fields(self):
         event = JobStarted(12.5, 7, 4, 2.3, 1.5)
-        row = event_to_wire(event)
+        row = event_row(event)
         assert row["event"] == "JobStarted"
         assert row["time"] == 12.5
         assert row["job_id"] == 7
@@ -108,12 +107,12 @@ class TestTelemetryRows:
         recorded = Simulation(spec).run().instrument("event_trace")["events"]
         session = Simulation(spec.with_instruments()).session()
         streamed = []
-        session._scheduler.attach_observer(lambda e: streamed.append(event_to_wire(e)))
+        session._scheduler.attach_observer(lambda e: streamed.append(event_row(e)))
         session.result()
         assert streamed == recorded
 
     def test_rows_are_json_serialisable(self):
-        row = event_to_wire(JobFinished(2.0, 7, 4, 2.3, 50.0, 50.0, 55.0, 10.0, False))
+        row = event_row(JobFinished(2.0, 7, 4, 2.3, 50.0, 50.0, 55.0, 10.0, False))
         assert json.loads(ndjson_line(row)) == row
 
     def test_ndjson_line_shape(self):

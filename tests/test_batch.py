@@ -5,11 +5,13 @@ aggregates-only / streaming fleet-scale modes."""
 import json
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.atomic as atomic_module
 import repro.batch as batch_module
 from repro.batch import BatchRunner
 from repro.experiments.config import PolicySpec, RunSpec
@@ -156,6 +158,13 @@ class TestStreamingAndSharing:
         BatchRunner(max_workers=1).run(grid_specs()[:2])
         assert batch_module._WORKLOAD_STORE == {}
 
+    def test_run_joins_its_pool(self):
+        """No executor thread outlives ``run()``: the next run forks its
+        workers from a process running no leftover pool thread."""
+        before = set(threading.enumerate())
+        BatchRunner(max_workers=2).run(grid_specs()[:2])
+        assert [t for t in threading.enumerate() if t not in before] == []
+
 
 class TestDiskCache:
     def test_second_run_served_from_disk(self, tmp_path):
@@ -250,8 +259,6 @@ class TestDiskCache:
         """Satellite: many threads hammering one cache key never observe
         a torn entry — every load is None (pre-store) or the exact
         result.  Write-then-rename makes each entry appear atomically."""
-        import threading
-
         spec = RunSpec(workload="CTC", n_jobs=N_JOBS)
         result = ExperimentRunner(n_jobs=N_JOBS).run(spec)
         expected = result_to_dict(result)
@@ -449,6 +456,22 @@ class TestSubmitTimePoolBreak:
         assert counts["pools"] == 2  # the pool was respawned once
         assert as_bytes(results) == as_bytes(BatchRunner(max_workers=1).run(specs))
 
+    def test_broken_pool_joined_before_respawn(self, monkeypatch):
+        """The replacement pool forks only after every thread of the
+        broken one has exited."""
+        _break_at_submit(monkeypatch, at=3)
+        breaking_spawn = BatchRunner._spawn_pool
+        before = set(threading.enumerate())
+        leftovers: list[list[threading.Thread]] = []
+
+        def spawn(self, workers):
+            leftovers.append([t for t in threading.enumerate() if t not in before])
+            return breaking_spawn(self, workers)
+
+        monkeypatch.setattr(BatchRunner, "_spawn_pool", spawn)
+        BatchRunner(max_workers=2, on_error="skip").run(grid_specs())
+        assert leftovers == [[], []]  # at the first spawn and at the respawn
+
     def test_raise_mode_reraises(self, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
 
@@ -468,7 +491,7 @@ class TestCacheTempFiles:
             recorded.append(str(src))
             real_replace(src, dst)
 
-        monkeypatch.setattr(batch_module.os, "replace", spy)
+        monkeypatch.setattr(atomic_module.os, "replace", spy)
         spec = RunSpec(workload="CTC", n_jobs=N_JOBS)
         runner = BatchRunner(max_workers=1, cache_dir=tmp_path)
         (result,) = runner.run([spec])

@@ -124,6 +124,23 @@ class TestCachedJobs:
         assert len(calls) == 2
         assert not any(tmp_path.iterdir())
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """A write that fails mid-entry is forgiven (caching is
+        best-effort) and cleans up its temp file."""
+
+        def full_disk(stream, **columns):
+            stream.write(b"partial")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez_compressed", full_disk)
+        jobs = cached_jobs(
+            tmp_path,
+            {"kind": "test", "n": 20},
+            lambda: generate_workload(trace_model("CTC"), 20, seed=1),
+        )
+        assert len(jobs) == 20
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestXlGenerator:
     def test_deterministic_and_sorted(self):
