@@ -7,21 +7,37 @@ is deterministic in its spec, the parallel results are identical — byte
 for byte, via :mod:`repro.serialize` — to a serial run of the same
 list; a test pins this.
 
+Each unique spec is one task, and a task does its spec's codec work
+where it runs — in a worker for pooled runs, in process for serial
+ones: it loads and checks the spec's cache entry, or, when there is no
+usable entry, simulates the spec and encodes the fresh result's
+canonical bytes once (:func:`repro.serialize.result_to_bytes`).  The
+parent never decodes or encodes a result.  It builds the shared traces,
+forks, unpickles what the tasks hand back, and writes the fresh bytes
+to the cache with :meth:`BatchRunner.cache_store_bytes`; workers never
+write entries.
+
 Workloads are resolved **once, in the parent**: every distinct
-``(source, workload, n_jobs, seed)`` bundle is materialised before the
-pool spawns and shared with the workers through fork-inherited memory
+``(source, workload, n_jobs, seed)`` bundle of a spec with no cache
+entry on disk (a stat, not a decode) is materialised before the pool
+spawns and shared with the workers through fork-inherited memory
 (:data:`_WORKLOAD_STORE`), so an 8-run sweep over one 50k-job trace
-parses/generates that trace once instead of eight times.  On platforms
-whose default start method is not ``fork``, workers simply re-resolve
-from the spec — the results are identical either way.
+parses/generates that trace once instead of eight times.  A source that
+raises is left out of the store: the spec's own task then builds the
+workload and fails there, where ``on_error`` attributes the failure.
+On platforms whose default start method is not ``fork``, workers simply
+re-resolve from the spec — the results are identical either way.
 
-Results stream back incrementally: each completed run is written to the
-on-disk cache (and handed to the optional ``progress`` callback) as it
-lands, so a crashed sweep resumes from everything already finished.
+Results stream back incrementally: each task's result lands as it
+completes — a fresh one is written to the on-disk cache and handed to
+the optional ``progress`` callback — so a crashed sweep resumes from
+everything already finished.
 
-The runner is fault tolerant.  A worker exception is captured and
-attributed to its spec instead of aborting the batch; ``on_error``
-selects whether that raises (default), skips the spec, or retries it.
+The runner is fault tolerant.  A task exception — a failed simulation,
+a workload that cannot be built, a fault at the ``cache.load`` site —
+is captured and attributed to its spec instead of aborting the batch;
+``on_error`` selects whether that raises (default), skips the spec, or
+retries it.
 A worker *death* (``BrokenProcessPool`` — an ``os._exit``, a segfault,
 the OOM killer) first lands every result that completed in the same
 batch, then — under ``"skip"``/``"retry"`` — respawns the pool and
@@ -44,6 +60,7 @@ hash) makes repeated sweeps — the 60-run grids behind Figures 3-5 and
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -61,7 +78,10 @@ from repro.registry import WORKLOAD_SOURCES
 from repro.serialize import (
     FORMAT_VERSION,
     result_from_dict,
-    result_to_dict,
+    result_to_bytes,
+    # Unused here: perfbench's tracer wraps the codec by this module's
+    # names (``repro.batch.result_to_dict`` and ``result_from_dict``).
+    result_to_dict,  # noqa: F401
     spec_key,
     spec_to_dict,
 )
@@ -122,18 +142,76 @@ def _build_simulation(spec: RunSpec, validate: bool) -> Simulation:
     return Simulation(spec, validate=validate, jobs=bundle.jobs, machine=machine)
 
 
-def _execute(payload: tuple[RunSpec, bool, bool]) -> SimulationResult:
-    """Worker entry point (module-level so it pickles).
+def _entry_path(cache_dir: Path, spec: RunSpec) -> Path:
+    return cache_dir / f"{spec_key(spec)}.json"
 
-    With ``aggregates_only`` the reduction happens *here*, in the
-    worker, so the per-job outcomes tuple never crosses the process
-    boundary and the parent only ever holds headline metrics.
+
+def _read_entry(
+    cache_dir: Path, spec: RunSpec, aggregates_only: bool
+) -> SimulationResult | None:
+    """The one cache-entry reader: the spec's cached result, or None.
+
+    None means "recompute": a missing or corrupt entry (not JSON, or
+    JSON that is not an object), another format version, another spec
+    (a hash collision or a stale layout), or an aggregates-only entry
+    asked for a full result.  A full entry serves an aggregates-only
+    request, reduced here.
     """
-    spec, validate, aggregates_only = payload
-    result = _build_simulation(spec, validate).run()
+    # Chaos site: a scripted fault here emulates a dying/stalling
+    # read of the result store.  Outside the try below on purpose —
+    # an injected ConnectionResetError must not be swallowed by the
+    # OSError arm that forgives genuinely missing entries.
+    fault_fire("cache.load")
+    try:
+        with open(_entry_path(cache_dir, spec), "r", encoding="utf-8") as stream:
+            data = json.load(stream)
+        if not isinstance(data, dict) or data.get("version") != FORMAT_VERSION:
+            return None
+        if data.get("spec") != spec_to_dict(spec):
+            return None
+        result = result_from_dict(data["result"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
     if aggregates_only:
-        result = result.to_aggregates()
+        return result.to_aggregates()
+    if result.is_aggregated:
+        return None
     return result
+
+
+#: What a task hands back: ``(result, cached, data)``, see :func:`_execute`.
+_Outcome = tuple["SimulationResult", bool, "bytes | None"]
+
+
+def _execute(payload: tuple[RunSpec, bool, bool, Path | None]) -> _Outcome:
+    """Task entry point (module-level so it pickles): one unique spec.
+
+    Returns ``(result, cached, data)``.  A spec whose cache entry reads
+    back is served from it (``cached``); any other is simulated and,
+    with a cache directory, encoded here, once, into the canonical
+    bytes the parent stores (``data``).  With ``aggregates_only`` the
+    reduction happens here too, so per-job outcomes never cross the
+    process boundary.  The cyclic collector is paused for the task:
+    loading, decoding and encoding a 20k-job result allocate hundreds
+    of thousands of acyclic objects, and collections over them cost a
+    quarter to a half of the codec time.
+    """
+    spec, validate, aggregates_only, cache_dir = payload
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        if cache_dir is not None:
+            cached = _read_entry(cache_dir, spec, aggregates_only)
+            if cached is not None:
+                return cached, True, None
+        result = _build_simulation(spec, validate).run()
+        if aggregates_only:
+            result = result.to_aggregates()
+        return result, False, None if cache_dir is None else result_to_bytes(result)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class BatchRunner:
@@ -145,7 +223,7 @@ class BatchRunner:
         Worker processes for a batch.  ``None`` uses the CPU count;
         ``0``/``1`` run serially in-process (still deduplicated and
         cached).  A batch never spawns more workers than it has
-        distinct uncached specs.
+        distinct specs.
     cache_dir:
         Directory for the JSON result cache, created on demand.
         ``None`` disables on-disk caching.
@@ -218,59 +296,31 @@ class BatchRunner:
 
     def _cache_path(self, spec: RunSpec) -> Path:
         assert self.cache_dir is not None
-        return self.cache_dir / f"{spec_key(spec)}.json"
+        return _entry_path(self.cache_dir, spec)
 
     def cache_load(self, spec: RunSpec) -> SimulationResult | None:
-        """Fetch one result from the disk cache; counts a hit or miss."""
-        result = self._cache_read(spec)
+        """Fetch one result from the disk cache, in process; counts a hit or miss."""
+        result = None
+        if self.cache_dir is not None:
+            result = _read_entry(self.cache_dir, spec, self.aggregates_only)
         if result is None:
             self._cache_misses += 1
         else:
             self._cache_hits += 1
         return result
 
-    def _cache_read(self, spec: RunSpec) -> SimulationResult | None:
-        if self.cache_dir is None:
-            return None
-        # Chaos site: a scripted fault here emulates a dying/stalling
-        # read of the result store.  Outside the try below on purpose —
-        # an injected ConnectionResetError must not be swallowed by the
-        # OSError arm that forgives genuinely missing entries.
-        fault_fire("cache.load")
-        path = self._cache_path(spec)
-        try:
-            with open(path, "r", encoding="utf-8") as stream:
-                data = json.load(stream)
-            if data.get("version") != FORMAT_VERSION:
-                return None
-            if data.get("spec") != spec_to_dict(spec):
-                return None  # hash collision or stale layout: recompute
-            result = result_from_dict(data["result"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None  # missing or corrupt entries are recomputed
-        if self.aggregates_only:
-            return result.to_aggregates()  # a full entry still satisfies us
-        if result.is_aggregated:
-            return None  # reduced entry cannot serve a full-result request
-        return result
-
     def cache_store(self, spec: RunSpec, result: SimulationResult) -> None:
         """Persist one result (no-op without a cache directory)."""
-        if self.cache_dir is None:
-            return
-        payload = {
-            "version": FORMAT_VERSION,
-            "spec": spec_to_dict(spec),
-            "result": result_to_dict(result),
-        }
-        self._cache_write(spec, json.dumps(payload).encode("utf-8"))
+        if self.cache_dir is not None:
+            self.cache_store_bytes(spec, result_to_bytes(result))
 
     def cache_store_bytes(self, spec: RunSpec, result_json: bytes) -> None:
         """Persist one result already encoded as a JSON document.
 
-        ``result_json`` (e.g. the serve daemon's canonical result bytes)
-        is spliced into the same entry layout :meth:`cache_store`
-        writes, so the entry is not decoded and re-encoded here.
+        The one writer of entries: ``result_json`` (the canonical result
+        bytes a batch task or the serve daemon's worker encoded) is
+        spliced into the entry layout, so the entry is not decoded and
+        re-encoded here.
         """
         if self.cache_dir is None:
             return
@@ -286,7 +336,7 @@ class BatchRunner:
         # bytes land); a torn_write rule hands back a truncated payload
         # that must reach the *final* path — emulating a writer that
         # died without the temp-and-rename discipline, the corruption
-        # _cache_read's recompute-on-corrupt arm exists to absorb.
+        # _read_entry's recompute-on-corrupt arm exists to absorb.
         kept, torn = fault_torn_write("cache.store", data)
         if torn:
             with open(path, "wb") as stream:
@@ -314,19 +364,15 @@ class BatchRunner:
         specs yield ``None`` in the result list and are recorded on
         :attr:`failures`).
         """
+        normalized, unique = self._normalize(specs)
         resolved: dict[RunSpec, SimulationResult] = {}
-        normalized = self._prepare(specs, resolved)
-        pending = [spec for spec in normalized if spec not in resolved]
-        seen: set[RunSpec] = set()
-        pending = [s for s in pending if not (s in seen or seen.add(s))]
 
-        def land(spec: RunSpec, result: SimulationResult) -> None:
+        def land(spec: RunSpec, result: SimulationResult, fresh: bool) -> None:
             resolved[spec] = result
-            self.cache_store(spec, result)
-            if progress is not None:
+            if fresh and progress is not None:
                 progress(spec, result)
 
-        self._execute_pending(pending, land, on_failure)
+        self._execute_pending(unique, land, on_failure)
         return [resolved.get(spec) for spec in normalized]
 
     def run_streaming(
@@ -345,28 +391,18 @@ class BatchRunner:
         order), and only the reduction the caller builds stays in
         memory.  Returns a :class:`BatchReport` of counts and failures.
         """
-        resolved: dict[RunSpec, SimulationResult] = {}
-        normalized = self._prepare(specs, resolved)
-        for spec, result in resolved.items():
-            reduce(spec, result)
-        pending: list[RunSpec] = []
-        seen: set[RunSpec] = set(resolved)
-        for spec in normalized:
-            if spec not in seen:
-                seen.add(spec)
-                pending.append(spec)
-        completed = len(resolved)
+        normalized, unique = self._normalize(specs)
+        completed = 0
 
-        def land(spec: RunSpec, result: SimulationResult) -> None:
+        def land(spec: RunSpec, result: SimulationResult, fresh: bool) -> None:
             nonlocal completed
             completed += 1
-            self.cache_store(spec, result)
             reduce(spec, result)
 
-        self._execute_pending(pending, land, on_failure)
+        self._execute_pending(unique, land, on_failure)
         return BatchReport(
             total=len(normalized),
-            unique=len(seen),
+            unique=len(unique),
             completed=completed,
             failures=self.failures,
             cache_hits=self._cache_hits,
@@ -374,27 +410,17 @@ class BatchRunner:
         )
 
     # -- the executor core ------------------------------------------------------
-    def _prepare(
-        self,
-        specs: Sequence[RunSpec],
-        resolved: dict[RunSpec, SimulationResult],
-    ) -> list[RunSpec]:
-        """Normalise specs, fill ``resolved`` from the cache, reset failures."""
+    def _normalize(self, specs: Sequence[RunSpec]) -> tuple[list[RunSpec], list[RunSpec]]:
+        """Normalised specs and their unique ones, in order; resets failures."""
         self._failures = []
         if self.default_n_jobs is not None:
             normalized = [normalize_spec(s, self.default_n_jobs) for s in specs]
         else:
             normalized = [normalize_spec(s) for s in specs]
-        for spec in normalized:
-            if spec in resolved:
-                continue
-            cached = self.cache_load(spec)
-            if cached is not None:
-                resolved[spec] = cached
-        return normalized
+        return normalized, list(dict.fromkeys(normalized))
 
-    def _payload(self, spec: RunSpec) -> tuple[RunSpec, bool, bool]:
-        return (spec, self.validate, self.aggregates_only)
+    def _payload(self, spec: RunSpec) -> tuple[RunSpec, bool, bool, Path | None]:
+        return (spec, self.validate, self.aggregates_only, self.cache_dir)
 
     def _fail(
         self,
@@ -403,6 +429,7 @@ class BatchRunner:
         attempts: int,
         on_failure: Callable[[RunSpec, str], None] | None,
     ) -> None:
+        self._cache_misses += 1  # a failed spec was looked up and missed
         self._failures.append(SpecFailure(spec=spec, error=error, attempts=attempts))
         if on_failure is not None:
             on_failure(spec, error)
@@ -410,24 +437,37 @@ class BatchRunner:
     def _execute_pending(
         self,
         pending: list[RunSpec],
-        land: Callable[[RunSpec, SimulationResult], None],
+        land: Callable[[RunSpec, SimulationResult, bool], None],
         on_failure: Callable[[RunSpec, str], None] | None,
     ) -> None:
-        """Run every (unique, uncached) pending spec through ``land``."""
-        self._share_workloads(pending)
+        """Run one task per unique spec, landing each through ``land``."""
+        self._share_workloads(
+            [s for s in pending if self.cache_dir is None or not self._cache_path(s).exists()]
+        )
+
+        def landed(spec: RunSpec, outcome: _Outcome) -> None:
+            result, cached, data = outcome
+            if cached:
+                self._cache_hits += 1
+            else:
+                self._cache_misses += 1
+                if data is not None:
+                    self.cache_store_bytes(spec, data)
+            land(spec, result, not cached)
+
         try:
             workers = self.max_workers if self.max_workers is not None else os.cpu_count() or 1
             if workers <= 1 or len(pending) <= 1:
-                self._run_serial(pending, land, on_failure)
+                self._run_serial(pending, landed, on_failure)
             else:
-                self._run_pool(pending, min(workers, len(pending)), land, on_failure)
+                self._run_pool(pending, min(workers, len(pending)), landed, on_failure)
         finally:
             _WORKLOAD_STORE.clear()
 
     def _run_serial(
         self,
         pending: list[RunSpec],
-        land: Callable[[RunSpec, SimulationResult], None],
+        land: Callable[[RunSpec, _Outcome], None],
         on_failure: Callable[[RunSpec, str], None] | None,
     ) -> None:
         """In-process execution (cannot survive a worker killing the process)."""
@@ -437,16 +477,17 @@ class BatchRunner:
             while True:
                 attempts += 1
                 try:
-                    result = _execute(self._payload(spec))
+                    outcome = _execute(self._payload(spec))
                 except Exception as exc:
                     if self.on_error == "raise":
+                        self._cache_misses += 1
                         raise
                     if attempts <= retries:
                         continue
                     self._fail(spec, repr(exc), attempts, on_failure)
                     break
                 else:
-                    land(spec, result)
+                    land(spec, outcome)
                     break
 
     def _spawn_pool(self, workers: int) -> ProcessPoolExecutor:
@@ -461,7 +502,7 @@ class BatchRunner:
         self,
         pending: list[RunSpec],
         workers: int,
-        land: Callable[[RunSpec, SimulationResult], None],
+        land: Callable[[RunSpec, _Outcome], None],
         on_failure: Callable[[RunSpec, str], None] | None,
     ) -> None:
         """The fault-tolerant pool loop.
@@ -517,7 +558,7 @@ class BatchRunner:
                 for future in done:
                     spec = futures.pop(future)
                     try:
-                        result = future.result()
+                        outcome = future.result()
                     except BrokenProcessPool as exc:
                         broken = exc
                         if alone:
@@ -532,6 +573,7 @@ class BatchRunner:
                         # A real worker exception: attributed directly.
                         attempts[spec] += 1
                         if self.on_error == "raise":
+                            self._cache_misses += 1
                             first_error = first_error or exc
                         elif attempts[spec] <= retries:
                             queue.append(spec)
@@ -541,7 +583,7 @@ class BatchRunner:
                         # Completed results always land, even when a
                         # sibling in the same batch failed or the pool
                         # broke: nothing finished is ever discarded.
-                        land(spec, result)
+                        land(spec, outcome)
                 if first_error is not None:
                     raise first_error
                 if broken is not None:
@@ -564,11 +606,20 @@ class BatchRunner:
 
     @staticmethod
     def _share_workloads(pending: Sequence[RunSpec]) -> None:
-        """Materialise each distinct workload once, before the pool forks."""
+        """Materialise each distinct workload once, before the pool forks.
+
+        A source that raises leaves its specs out of the store: each
+        such spec's task builds the workload itself and raises there,
+        where ``on_error`` attributes the failure to the spec.
+        """
         _WORKLOAD_STORE.clear()
+        broken: set[tuple] = set()
         for spec in pending:
             key = _workload_key(spec)
-            if key in _WORKLOAD_STORE:
+            if key in _WORKLOAD_STORE or key in broken:
                 continue
-            source = WORKLOAD_SOURCES.get(spec.source)
-            _WORKLOAD_STORE[key] = source(spec.workload, spec.n_jobs, spec.seed)
+            try:
+                source = WORKLOAD_SOURCES.get(spec.source)
+                _WORKLOAD_STORE[key] = source(spec.workload, spec.n_jobs, spec.seed)
+            except Exception:
+                broken.add(key)

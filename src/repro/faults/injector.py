@@ -53,7 +53,12 @@ SITES = frozenset(
     {
         "worker.slice",  # serve worker: start of each budgeted run_for slice
         "cache.store",  # batch result cache: persisting one result
-        "cache.load",  # batch result cache: reading one result
+        # batch result cache: reading one result.  A pooled BatchRunner
+        # reads entries in its worker processes, so there the site fires
+        # in the worker, on the fork-time copy of the injector: its hits
+        # and fired faults stay in that worker, and a crash there fails
+        # the spec's task, where on_error attributes it.
+        "cache.load",
         "http.read",  # serve daemon: parsing an incoming request
         "http.write",  # serve daemon: sending a response/stream chunk
         "journal.append",  # serve run journal: appending one record

@@ -7,20 +7,46 @@ The codecs are exact: every float survives ``dumps``/``loads`` bit-for-bit
 :class:`~repro.batch.BatchRunner` builds its on-disk result cache and
 its worker protocol on top of these, and :func:`spec_key` derives the
 cache key from the canonical spec JSON.
+
+Results have one canonical encoding, :func:`canonical_result_bytes`
+(sorted-key compact JSON of :func:`result_to_dict`), shared by the
+result cache and the serve daemon.  Two columnar paths keep the per-job
+outcome list off the per-object path where they can:
+
+* :func:`result_to_bytes` writes a column-backed result
+  (:class:`~repro.scheduling.columns.OutcomeColumns`, what the fused
+  core returns) straight from its columns, byte-equal to the generic
+  encoding; any other result takes the generic path.
+* :func:`result_from_dict` decodes an outcome list straight into
+  ``OutcomeColumns`` when numpy is importable and the columns represent
+  the document exactly: every job has all its fields, times are finite
+  floats, job ids are ints in strictly ascending order, every gear is on
+  the machine's ladder and ``penalized_runtime == finish_time -
+  start_time``.  Any other document, and every install without numpy,
+  falls back to the per-outcome decoder, so both paths accept and
+  reject exactly the same documents.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from math import isinf
-from typing import Any
+from dataclasses import fields
+from math import isfinite, isinf
+from operator import attrgetter, itemgetter
+from typing import Any, Sequence
+
+try:  # numpy is an optional accelerator, never a hard dependency
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised only without numpy
+    _np = None
 
 from repro.cluster.machine import Machine
 from repro.cluster.power import SleepPolicy
 from repro.core.gears import Gear, GearSet
 from repro.experiments.config import InstrumentSpec, PolicySpec, RunSpec, _tupled
 from repro.power.energy import EnergyReport, SleepEnergyBreakdown
+from repro.scheduling.columns import OutcomeColumns
 from repro.scheduling.job import Job, JobOutcome
 from repro.scheduling.result import (
     InstrumentReport,
@@ -37,7 +63,9 @@ __all__ = [
     "spec_json",
     "spec_key",
     "result_to_dict",
+    "result_to_bytes",
     "result_from_dict",
+    "canonical_result_bytes",
 ]
 
 #: Bumped whenever the serialised layout changes; cached results with a
@@ -348,8 +376,9 @@ def _aggregates_from_dict(
         raise SpecValidationError(path, str(exc)) from exc
 
 
-def result_to_dict(result: SimulationResult) -> dict[str, Any]:
-    """A JSON-ready dict capturing the result (full or aggregates-only)."""
+def _result_document(
+    result: SimulationResult, outcomes: list[dict[str, Any]]
+) -> dict[str, Any]:
     return {
         "version": FORMAT_VERSION,
         "machine": {
@@ -358,7 +387,7 @@ def result_to_dict(result: SimulationResult) -> dict[str, Any]:
             "gears": [_gear_to_dict(g) for g in result.machine.gears],
         },
         "policy": result.policy,
-        "outcomes": [_outcome_to_dict(o) for o in result.outcomes],
+        "outcomes": outcomes,
         "energy": {
             "computational": result.energy.computational,
             "idle": result.energy.idle,
@@ -393,6 +422,196 @@ def result_to_dict(result: SimulationResult) -> dict[str, Any]:
     }
 
 
+def result_to_dict(result: SimulationResult) -> dict[str, Any]:
+    """A JSON-ready dict capturing the result (full or aggregates-only)."""
+    return _result_document(result, [_outcome_to_dict(o) for o in result.outcomes])
+
+
+#: Sorted-key compact JSON, the canonical encoding of a result document.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def canonical_result_bytes(payload: dict[str, Any]) -> bytes:
+    """The canonical encoding of a result document: sorted-key compact JSON.
+
+    Both sides of the serve daemon's byte-identity contract use it (the
+    worker that encodes a finished run, and any client comparing against
+    an in-process ``result_to_dict(Simulation(spec).run())``), and the
+    result cache stores it.
+    """
+    return _canonical(payload).encode("utf-8")
+
+
+def result_to_bytes(result: SimulationResult) -> bytes:
+    """``canonical_result_bytes(result_to_dict(result))``, built faster.
+
+    A column-backed result has its outcome list written straight from
+    the columns; every other result goes through :func:`result_to_dict`.
+    The sorted top-level keys put ``outcomes`` between ``machine`` and
+    ``policy``, so the other keys are encoded in two halves around it.
+    """
+    outcomes = result.outcomes
+    if not isinstance(outcomes, OutcomeColumns) or not outcomes:
+        return canonical_result_bytes(result_to_dict(result))
+    document = _result_document(result, [])
+    head = _canonical({key: value for key, value in document.items() if key < "outcomes"})
+    tail = _canonical({key: value for key, value in document.items() if key > "outcomes"})
+    body = _columns_json(outcomes)
+    return f'{head[:-1]},"outcomes":[{body}],{tail[1:]}'.encode("utf-8")
+
+
+#: Job fields in canonical (sorted) key order, and in declaration order.
+_JOB_KEYS = tuple(sorted(field.name for field in fields(Job)))
+_JOB_FIELDS = tuple(field.name for field in fields(Job))
+
+_JSON_BOOL = ("false", "true")
+
+
+def _kinds(values: Sequence[Any]) -> set[type]:
+    return set(map(type, values))
+
+
+def _slot(values: Sequence[Any]) -> tuple[str, Sequence[Any] | None]:
+    """How one column is written: a ``%`` slot and the values that fill it.
+
+    ``%r`` writes an int or a finite float exactly as ``json`` does, so
+    the common columns are filled as they are; an all-null column is a
+    literal, booleans are looked up, and anything else is encoded value
+    by value.
+    """
+    kinds = _kinds(values)
+    if kinds == {int} or (kinds == {float} and all(map(isfinite, values))):
+        return "%r", values
+    if kinds == {type(None)}:
+        return "null", None
+    if kinds == {bool}:
+        return "%s", [_JSON_BOOL[value] for value in values]
+    return "%s", [_canonical(value) for value in values]
+
+
+def _columns_json(columns: OutcomeColumns) -> str:
+    """The outcome list of a column-backed result as canonical JSON text.
+
+    One ``%`` template per outcome, its keys in sorted order, filled row
+    by row.  ``penalized_runtime`` is ``finish - start`` in float64, the
+    expression materialising an outcome uses.
+    """
+    gear_json = [_canonical(_gear_to_dict(gear)) for gear in columns.ladder]
+    jobs = map(attrgetter(*_JOB_KEYS), columns.jobs)
+    job_slots = [_slot(values) for values in zip(*jobs, strict=True)]
+    slots = [
+        _slot(columns.energy.tolist()),
+        _slot(columns.finish.tolist()),
+        ("%s", [gear_json[index] for index in columns.gear_index.tolist()]),
+        *job_slots,
+        _slot((columns.finish - columns.start).tolist()),
+        _slot(columns.start.tolist()),
+        _slot(columns.was_reduced.tolist()),
+    ]
+    formats = [slot for slot, _ in slots]
+    job = ",".join(f'"{key}":{slot}' for key, slot in zip(_JOB_KEYS, formats[3:-3], strict=True))
+    template = (
+        '{"energy":%s,"finish_time":%s,"gear":%s,"job":{%s},'
+        '"penalized_runtime":%s,"start_time":%s,"was_reduced":%s}'
+    ) % (*formats[:3], job, *formats[-3:])
+    values = [column for _, column in slots if column is not None]
+    return ",".join(map(template.__mod__, zip(*values, strict=True)))
+
+
+_OUTCOME_ITEMS = itemgetter(
+    "job", "start_time", "finish_time", "gear", "penalized_runtime", "energy", "was_reduced"
+)
+_GEAR_ITEMS = itemgetter("frequency", "voltage")
+_JOB_ITEMS = itemgetter(*_JOB_FIELDS)
+
+
+def _outcome_columns(
+    outcomes: list[Any], ladder: tuple[Gear, ...]
+) -> OutcomeColumns | None:
+    """Decode an outcome list straight into columns, or None to fall back.
+
+    Only documents that the per-outcome decoder accepts *and* that the
+    columns represent exactly come back decoded; for anything else this
+    returns None and the per-outcome decoder judges the document.  The
+    checks :class:`Job` and :class:`JobOutcome` make on construction run
+    here on whole columns, so the jobs are built without re-running
+    them.  Unchecked job fields (``user_id``, ``group_id``,
+    ``executable``) are kept as they are, as the per-outcome decoder
+    keeps them.
+    """
+    if _np is None or not outcomes:
+        return None
+    # Float-valued gears only: an int-valued ladder gear equals, but
+    # does not encode like, the float gear an outcome names.
+    ladder_index = {
+        (gear.frequency, gear.voltage): index
+        for index, gear in enumerate(ladder)
+        if type(gear.frequency) is float and type(gear.voltage) is float
+    }
+    try:
+        job_docs, start, finish, gears, penalized, energy, reduced = zip(
+            *map(_OUTCOME_ITEMS, outcomes), strict=True
+        )
+        if set(map(len, job_docs)) != {len(_JOB_FIELDS)}:
+            return None  # a defaulted or unknown job field
+        job_rows = list(map(_JOB_ITEMS, job_docs))
+        frequency, voltage = zip(*map(_GEAR_ITEMS, gears), strict=True)
+        if _kinds(frequency) != {float} or _kinds(voltage) != {float}:
+            return None
+        gear_index = [ladder_index[key] for key in zip(frequency, voltage, strict=True)]
+    except (KeyError, TypeError):
+        return None  # a missing key, a non-object, or a gear off the ladder
+    job_id, submit, runtime, requested, size, _user, _group, _exe, beta = zip(
+        *job_rows, strict=True
+    )
+    if not (
+        _kinds(job_id) == _kinds(size) == {int}
+        and _kinds(reduced) == {bool}
+        and _kinds(beta) <= {float, type(None)}
+        and all(
+            _kinds(column) == {float}
+            for column in (submit, runtime, requested, start, finish, penalized, energy)
+        )
+    ):
+        return None  # e.g. int-valued times, which columns would turn into floats
+    starts, finishes, energies = _np.array(start), _np.array(finish), _np.array(energy)
+    submits = _np.array(submit)
+    floats = (starts, finishes, energies, submits, _np.array(runtime), _np.array(requested))
+    if not (
+        all(_np.isfinite(column).all() for column in floats)
+        and all(map(int.__lt__, job_id, job_id[1:]))
+        and min(size) > 0
+        and min(runtime) >= 0.0
+        and min(requested) > 0.0
+        and min(submit) >= 0.0
+        and all(b is None or 0.0 <= b <= 1.0 for b in beta)
+        and (starts >= submits - 1e-9).all()
+        and (finishes >= starts - 1e-9).all()
+        # Bit for bit, so a -0.0 is not taken for the 0.0 it equals.
+        and (_np.array(penalized).view(_np.int64) == (finishes - starts).view(_np.int64)).all()
+    ):
+        # Either the per-outcome decoder raises here (a failed Job or
+        # JobOutcome check, ids out of order) or it keeps what columns
+        # cannot hold (equal ids, a non-finite time, a penalized runtime
+        # that is not finish - start).
+        return None
+    new = Job.__new__
+    jobs: list[Job] = []
+    for row in job_rows:
+        job = new(Job)
+        job.__dict__.update(zip(_JOB_FIELDS, row, strict=True))
+        jobs.append(job)
+    return OutcomeColumns(
+        tuple(jobs),
+        ladder,
+        starts,
+        finishes,
+        _np.array(gear_index, dtype=_np.int64),
+        energies,
+        _np.array(reduced, dtype=bool),
+    )
+
+
 def _energy_from_dict(data: dict[str, Any], path: str = "energy") -> EnergyReport:
     mapping = _require_mapping(data, path)
     sleep = mapping.get("sleep")
@@ -421,7 +640,7 @@ def _timeline_from_list(data: list[Any]) -> tuple[TimelinePoint, ...]:
 
 
 def result_from_dict(data: dict[str, Any]) -> SimulationResult:
-    """Decode :func:`result_to_dict` output.
+    """Decode :func:`result_to_dict` output (column-backed where it can be).
 
     Raises :class:`SpecValidationError` (a ``ValueError``) locating the
     offending field on malformed documents; a plain ``ValueError`` on a
@@ -451,11 +670,14 @@ def result_from_dict(data: dict[str, Any]) -> SimulationResult:
         raise
     except (TypeError, ValueError) as exc:
         raise SpecValidationError("machine", str(exc)) from exc
+    columns = _outcome_columns(outcomes, decoded_machine.gears.ascending())
     try:
         return SimulationResult(
             machine=decoded_machine,
             policy=_get(data, "policy", ""),
-            outcomes=tuple(
+            outcomes=columns
+            if columns is not None
+            else tuple(
                 _outcome_from_dict(o, f"outcomes[{index}]")
                 for index, o in enumerate(outcomes)
             ),

@@ -24,6 +24,10 @@ from __future__ import annotations
 import json
 from typing import Any
 
+# Re-exported: the wire encoding of a result document is the canonical
+# encoding the result cache stores, defined next to the codecs.
+from repro.serialize import canonical_result_bytes
+
 __all__ = [
     "PROTOCOL_VERSION",
     "ERROR_CODES",
@@ -154,17 +158,6 @@ TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 
 #: The sentinel ``event`` tag closing every telemetry stream.
 END_OF_STREAM = "EndOfStream"
-
-
-# -- result documents ---------------------------------------------------------
-def canonical_result_bytes(payload: dict[str, Any]) -> bytes:
-    """The wire encoding of a result document: sorted-key compact JSON.
-
-    Both sides of the byte-identity contract use this — the worker
-    process when it serialises a finished run, and any client comparing
-    against an in-process ``result_to_dict(Simulation(spec).run())``.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 # -- telemetry rows -----------------------------------------------------------

@@ -46,10 +46,11 @@ for a key is queued, running, or done, further submissions of the same
 key attach to it — they charge no quota, run no simulation, and fetch
 the very same result bytes.  Results are canonical sorted-key compact
 JSON of :func:`repro.serialize.result_to_dict`, encoded once in the
-worker, so an HTTP-fetched result is byte-identical to an in-process
-``Simulation(spec).run()`` serialized the same way; the shared on-disk
-cache (:class:`repro.batch.BatchRunner`'s format) extends that
-identity across server restarts.
+worker (:func:`repro.serialize.result_to_bytes`), so an HTTP-fetched
+result is byte-identical to an in-process ``Simulation(spec).run()``
+serialized the same way; the shared on-disk cache
+(:class:`repro.batch.BatchRunner`'s format) extends that identity
+across server restarts.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from repro.faults import InjectedFault, fire as fault_fire
 from repro.serialize import (
     SpecValidationError,
     result_from_dict,
-    result_to_dict,
+    result_to_bytes,
     spec_from_dict,
     spec_key,
     spec_to_dict,
@@ -192,7 +193,7 @@ class ServeJob:
                 result = result_from_dict(json.loads(self.result_bytes))
                 if not result.is_aggregated:
                     result = result.to_aggregates()
-                self._aggregates_bytes = canonical_result_bytes(result_to_dict(result))
+                self._aggregates_bytes = result_to_bytes(result)
             return self._aggregates_bytes
 
     def status_payload(self) -> dict[str, Any]:
@@ -631,7 +632,7 @@ class ReproServer:
                 # A cache hit streams no telemetry (the run happened in
                 # some earlier life); subscribers get the sentinel only.
                 job.from_cache = True
-                job.result_bytes = canonical_result_bytes(result_to_dict(cached))
+                job.result_bytes = result_to_bytes(cached)
                 self._finish(job, protocol.DONE)
                 return
             data = self._simulate(job)

@@ -66,8 +66,8 @@ from repro.analysis import sanitize
 from repro.api import Simulation
 from repro.experiments.config import RunSpec
 from repro.instruments import Instrument
-from repro.serialize import result_to_dict
-from repro.serve.protocol import canonical_result_bytes, ndjson_line
+from repro.serialize import result_to_bytes
+from repro.serve.protocol import ndjson_line
 from repro.session import SimulationSession
 from repro.sim.events import LifecycleEvent, event_row
 
@@ -194,7 +194,7 @@ class _Runner:
         # Strip the forwarder's report: the served bytes must equal a
         # plain in-process run of the spec.
         reports = tuple(r for r in result.instruments if r.name != self._forwarder.name)
-        data = canonical_result_bytes(result_to_dict(replace(result, instruments=reports)))
+        data = result_to_bytes(replace(result, instruments=reports))
         return ("done", data, *self._forwarder.flush(), self._forwarder.dropped)
 
     def drop(self) -> tuple[Any, ...]:

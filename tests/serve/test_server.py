@@ -15,7 +15,7 @@ import pytest
 
 from repro.api import Simulation
 from repro.experiments.config import InstrumentSpec, PolicySpec, RunSpec
-from repro.serialize import result_to_dict
+from repro.serialize import result_to_dict, spec_key
 from repro.serve.client import ServeClient
 from repro.serve.protocol import END_OF_STREAM, ServeError
 from repro.serve.quotas import QuotaPolicy
@@ -210,6 +210,18 @@ class TestCacheSharing:
             assert client.result_bytes(job["job_id"]) == body == expected_bytes(SPEC)
             assert second.simulations_run == 0  # zero simulations: served from disk
             assert second.stats()["cache_hits"] == 1
+
+    def test_non_object_cache_entry_is_recomputed(self, tmp_path):
+        """An entry that is valid JSON but not an object is corrupt: the
+        daemon simulates the spec instead of failing it, every time."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / f"{spec_key(SPEC)}.json").write_text("[]")
+        with ReproServer(cache_dir=str(cache)) as server:
+            client = ServeClient(server.address)
+            job = client.submit(SPEC)
+            assert client.result_bytes(job["job_id"]) == expected_bytes(SPEC)
+            assert server.simulations_run == 1
 
     def test_cache_hit_stream_is_sentinel_only(self, tmp_path):
         cache = str(tmp_path / "cache")

@@ -198,12 +198,19 @@ class TestDiskCache:
         assert entries[0] == entries[1]
         assert BatchRunner(cache_dir=tmp_path / "bytes").cache_load(spec) == result
 
-    def test_corrupt_cache_entry_recomputed(self, tmp_path):
+    @pytest.mark.parametrize(
+        "body",
+        ["{not json", "[]", "null", "1", '"x"'],
+        ids=["not-json", "array", "null", "number", "string"],
+    )
+    def test_corrupt_cache_entry_recomputed(self, tmp_path, body):
+        """Unreadable entries, and valid JSON that is not an object, are
+        recomputed rather than crashing the batch."""
         spec = RunSpec(workload="CTC", n_jobs=N_JOBS)
         runner = BatchRunner(max_workers=1, cache_dir=tmp_path)
         (result,) = runner.run([spec])
         for path in tmp_path.glob("*.json"):
-            path.write_text("{not json")
+            path.write_text(body)
         again = BatchRunner(max_workers=1, cache_dir=tmp_path)
         (recomputed,) = again.run([spec])
         assert again.cache_misses == 1
@@ -408,11 +415,61 @@ class TestFaultTolerance:
         (failure,) = runner.failures
         assert failure.spec == crash_spec()
 
+    @pytest.mark.parametrize("on_error", ["skip", "retry"])
+    def test_cache_load_fault_attributed_to_its_spec(self, tmp_path, on_error):
+        """The entry read is part of the spec's task, so a fault there
+        fails (or, under retry, re-reads) that spec alone."""
+        from repro.faults import FaultPlan, FaultRule, injected
+
+        specs = grid_specs()[:2]
+        BatchRunner(max_workers=1, cache_dir=tmp_path).run(specs)
+        runner = BatchRunner(max_workers=1, cache_dir=tmp_path, on_error=on_error)
+        with injected(FaultPlan.of(FaultRule("cache.load", "crash"))) as injector:
+            results = runner.run(specs)
+        assert injector.hits("cache.load") == (3 if on_error == "retry" else 2)
+        if on_error == "retry":
+            assert None not in results and runner.failures == ()
+            assert runner.cache_hits == 2 and runner.cache_misses == 0
+        else:
+            assert results[0] is None and results[1] is not None
+            (failure,) = runner.failures
+            assert failure.spec == specs[0] and "InjectedCrash" in failure.error
+            assert runner.cache_hits == 1 and runner.cache_misses == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bad_kind", ["unknown-workload", "missing-swf"])
+    def test_unbuildable_workload_fails_only_its_spec(self, tmp_path, workers, bad_kind):
+        """A spec whose trace cannot be built fails inside its own task,
+        by identity under ``skip``; the rest of the batch lands."""
+        bad, error = _unbuildable(tmp_path, bad_kind)
+        good = RunSpec(workload="CTC", n_jobs=N_JOBS)
+        runner = BatchRunner(max_workers=workers, on_error="skip")
+        results = runner.run([good, bad])
+        assert results[1] is None
+        assert as_bytes(results[:1]) == as_bytes(BatchRunner(max_workers=1).run([good]))
+        (failure,) = runner.failures
+        assert failure.spec == bad and error.__name__ in failure.error
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bad_kind", ["unknown-workload", "missing-swf"])
+    def test_unbuildable_workload_raises_its_own_error(self, tmp_path, workers, bad_kind):
+        bad, error = _unbuildable(tmp_path, bad_kind)
+        with pytest.raises(error):
+            BatchRunner(max_workers=workers).run([RunSpec(workload="CTC", n_jobs=N_JOBS), bad])
+
     def test_invalid_on_error_rejected(self):
         with pytest.raises(ValueError, match="on_error"):
             BatchRunner(on_error="ignore")
         with pytest.raises(ValueError, match="retries"):
             BatchRunner(retries=-1)
+
+
+def _unbuildable(tmp_path, kind: str) -> tuple[RunSpec, type[Exception]]:
+    """A spec whose workload source raises, and the error it raises."""
+    if kind == "unknown-workload":
+        return RunSpec(workload="NOPE", n_jobs=N_JOBS), KeyError
+    missing = tmp_path / "missing.swf"
+    return RunSpec(workload=str(missing), source="swf", n_jobs=N_JOBS), FileNotFoundError
 
 
 def _break_at_submit(monkeypatch, at: int) -> dict[str, int]:

@@ -213,6 +213,22 @@ class TestFailureJournaling:
         converged = SweepManifest.load(tmp_path / "m.jsonl")
         assert converged.remaining == 0 and converged.failed == {}
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unbuildable_workload_journaled_failed(self, tmp_path, workers):
+        """One bad SWF path fails its spec; the rest of the sweep lands."""
+        good = sweep_specs()[0]
+        bad = RunSpec(workload=str(tmp_path / "missing.swf"), source="swf", n_jobs=N_JOBS)
+        report = run_sweep(
+            [good, bad], manifest_path=tmp_path / "m.jsonl", cache_dir=tmp_path / "c",
+            max_workers=workers,
+        )
+        assert report.results[0] is not None and report.results[1] is None
+        (failure,) = report.failures
+        assert failure.spec == bad and "FileNotFoundError" in failure.error
+        manifest = SweepManifest.load(tmp_path / "m.jsonl")
+        assert manifest.done == {spec_key(good)}
+        assert set(manifest.failed) == {spec_key(bad)}
+
 
 class TestManifestFormat:
     def test_header_records_version_total_digest(self, tmp_path):
