@@ -7,7 +7,11 @@ serve``) on ephemeral ports:
    telemetry, and assert the fetched result is byte-identical to an
    in-process ``Simulation(spec).run()`` serialised the same way — the
    core simulation-as-a-service contract, exercised through the actual
-   process boundary and socket rather than a background thread.
+   process boundary and socket rather than a background thread.  The
+   whole stream and its ``events_dropped`` count must equal an
+   in-process ``event_trace`` recording of the same spec on the
+   reference core, and the job's status must report that the fused
+   (``columnar``) core served it; this phase therefore needs numpy.
 
 2. **SIGKILL drill**: start a daemon over a ``--cache-dir``, submit a
    long run, ``SIGKILL -9`` the daemon mid-simulation (no shutdown
@@ -36,10 +40,11 @@ from typing import NoReturn
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.api import Simulation  # noqa: E402
-from repro.experiments.config import RunSpec  # noqa: E402
+from repro.experiments.config import InstrumentSpec, RunSpec  # noqa: E402
 from repro.serialize import result_to_dict  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
 from repro.serve.protocol import END_OF_STREAM, ServeError  # noqa: E402
+from repro.serve.quotas import QuotaPolicy  # noqa: E402
 from repro.serve.server import canonical_result_bytes  # noqa: E402
 
 SPEC = RunSpec(workload="SDSC", n_jobs=120, seed=3)
@@ -169,6 +174,33 @@ def main() -> int:
         if telemetry < 1:
             fail("streamed zero telemetry events before the sentinel")
         print(f"serve-smoke: streamed {telemetry} telemetry events + sentinel")
+
+        recorder = InstrumentSpec.of("event_trace", limit=QuotaPolicy().max_events)
+        recorded = (
+            Simulation(SPEC.with_engine("reference").with_instruments(recorder))
+            .run()
+            .instrument("event_trace")
+        )
+        if rows[:-1] != recorded["events"]:
+            fail(
+                f"telemetry stream differs from the in-process reference "
+                f"recording ({telemetry} rows streamed, {recorded['recorded']} recorded)"
+            )
+        if sentinel["events_dropped"] != recorded["dropped"]:
+            fail(
+                f"events_dropped {sentinel['events_dropped']} != the recording's "
+                f"{recorded['dropped']}"
+            )
+        status = client.status(job_id)
+        if status["engine"] != "columnar":
+            fail(
+                f"served run used engine {status['engine']!r} (fallback "
+                f"{status['fallback']!r}), expected 'columnar'"
+            )
+        print(
+            "serve-smoke: OK — stream equals the reference-core recording, "
+            "served on the columnar core"
+        )
 
         fetched = client.result_bytes(job_id)
         expected = canonical_result_bytes(result_to_dict(Simulation(SPEC).run()))

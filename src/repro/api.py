@@ -161,8 +161,11 @@ class Simulation:
         pins one (see :mod:`repro.sim.lanes`).  Every lane is
         byte-identical to the committed golden traces, so the choice
         affects speed only.  Instrumented specs run as
-        ``session().result()`` on the reference core (sessions are
-        steppable by construction).
+        ``session().result()``; the session picks its core the same
+        way, so observer-only instruments (``event_trace``,
+        ``bsld_monitor``, ``power_telemetry``) keep a run on the fused
+        core, and a steering one (``power_cap``) runs it on the
+        reference core.
         """
         if self.spec.instruments:
             return self.session().result()

@@ -45,6 +45,7 @@ if TYPE_CHECKING:  # imported for annotations only; avoids package cycles
     from repro.core.frequency_policy import FrequencyPolicy
     from repro.core.gears import GearSet
     from repro.scheduling.base import Scheduler
+    from repro.sim.columnar import FusedCore
 
 __all__ = [
     "Instrument",
@@ -63,12 +64,15 @@ class InstrumentContext:
     Read accessors expose scheduler state as plain values; the control
     surface (:meth:`set_gear_cap`, :meth:`set_policy`) is the *only*
     sanctioned way for an instrument to influence a run — the lifecycle
-    events themselves are frozen.
+    events themselves are frozen.  The context reads whichever core runs
+    the session: the reference :class:`~repro.scheduling.base.Scheduler`
+    or the fused :class:`~repro.sim.columnar.FusedCore`, which refuses
+    the control surface.
     """
 
     __slots__ = ("_scheduler",)
 
-    def __init__(self, scheduler: Scheduler) -> None:
+    def __init__(self, scheduler: Scheduler | FusedCore) -> None:
         self._scheduler = scheduler
 
     # -- read probes ------------------------------------------------------------
@@ -127,9 +131,16 @@ class Instrument:
     :class:`~repro.scheduling.result.SimulationResult`).  ``name`` is
     the registry spec name, mirrored on the class so sessions can look
     instruments up while a run is in flight.
+
+    ``observes_only`` declares that the instrument never steers: it
+    reads the context's probes but never calls its control surface.  A
+    session runs on the fused core only when every attached instrument
+    declares this; an undeclared instrument starts the run on the
+    reference core, which also serves any steering.
     """
 
     name: str = ""
+    observes_only: bool = False
 
     def __init__(self) -> None:
         self._context: InstrumentContext | None = None
@@ -169,6 +180,7 @@ class PowerTelemetrySampler(Instrument):
     """
 
     name = "power_telemetry"
+    observes_only = True
 
     def __init__(self, min_interval: float = 0.0, max_samples: int | None = None) -> None:
         super().__init__()
@@ -242,6 +254,7 @@ class BsldMonitor(Instrument):
     """
 
     name = "bsld_monitor"
+    observes_only = True
 
     def __init__(
         self, sample_every: int = 250, threshold: float = BSLD_THRESHOLD_SECONDS
@@ -329,6 +342,7 @@ class EventTraceRecorder(Instrument):
     """
 
     name = "event_trace"
+    observes_only = True
 
     def __init__(
         self, kinds: str | tuple[str, ...] | None = None, limit: int | None = None

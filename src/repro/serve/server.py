@@ -6,7 +6,8 @@ Two planes, in separate processes:
   requests, answers status/stats instantly, and tails telemetry
   buffers for streaming subscribers;
 * the **worker plane** (:mod:`repro.serve.worker`) runs each accepted
-  job as a :class:`~repro.session.SimulationSession` in one of at most
+  job as a :class:`~repro.session.SimulationSession`, on the fused core
+  wherever it covers the spec, in one of at most
   ``max_workers`` long-lived simulation worker processes, so
   concurrent runs do not share the daemon's interpreter lock.  A
   job thread per running job steps its worker in lockstep, one pipe
@@ -21,8 +22,9 @@ worker module preloaded: each new worker is a fork of an interpreter
 that has already imported the simulator, where ``spawn`` (the fallback
 on platforms without forkserver) re-imports it in every worker.  The
 forkserver keeps the environment it started with, so each job carries
-its own settings — the daemon's ``validate`` flag, sanitizer switch
-and ``REPRO_WORKLOAD_CACHE*`` variables — rather than inheriting them.
+its own settings — the daemon's ``validate`` flag, sanitizer switch,
+``REPRO_ENGINE`` pin and ``REPRO_WORKLOAD_CACHE*`` variables — rather
+than inheriting them.
 
 Memory splits three ways: the daemon holds, per finished job, only its
 canonical result bytes and its telemetry (at most ``max_events`` rows,
@@ -35,7 +37,7 @@ Endpoints (all JSON; errors use the shared
     GET  /healthz                         liveness + versions
     GET  /stats                           counters, states, quotas, workers
     POST /runs                            submit {"spec": {...}} -> job
-    GET  /runs/{id}                       job status
+    GET  /runs/{id}                       job status (+ engine, fallback)
     GET  /runs/{id}/result[?aggregates=1&wait=1&timeout=S]
     GET  /runs/{id}/events[?format=sse]   telemetry stream (NDJSON/SSE)
     POST /runs/{id}/cancel                request cancellation
@@ -169,6 +171,10 @@ class ServeJob:
         self.events: list[tuple[bytes, int]] = []
         self.events_recorded = 0
         self.events_dropped = 0
+        # The core the worker's session runs on, and why it is not the
+        # fused one; both None until the run starts, and for cache hits.
+        self.engine: str | None = None
+        self.fallback: str | None = None
         self._aggregates_bytes: bytes | None = None
 
     def add_events(self, chunk: bytes, rows: int, dropped: int) -> None:
@@ -211,6 +217,8 @@ class ServeJob:
             "error": self.error,
             "events_recorded": recorded,
             "events_dropped": dropped,
+            "engine": self.engine,
+            "fallback": self.fallback,
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
@@ -671,7 +679,10 @@ class ReproServer:
         settings = JobSettings.capture(self.validate, job.max_events)
         deadline = time.monotonic() + self.quota.max_wall_seconds
         try:
-            done = self._absorb(job, worker.request("start", job.spec, settings))
+            *progress, job.engine, job.fallback = worker.request(
+                "start", job.spec, settings
+            )
+            done = self._absorb(job, tuple(progress))
             while not done:
                 if self._closing.is_set():
                     return None  # shutdown close-out finishes the job

@@ -10,13 +10,18 @@ request below is one pipe round trip, and the daemon keeps every
 policy decision (fault site, lease, cancel and budget checks) on its
 side of the pipe::
 
-    ("start", spec, settings)  build the session    -> ("ok", done, chunk, rows, dropped)
+    ("start", spec, settings)  build the session    -> ("ok", done, chunk, rows, dropped,
+                                                          engine, fallback)
     ("slice", n_events)        session.run_for(n)   -> ("ok", done, chunk, rows, dropped)
     ("finish",)                result, encoded once -> ("done", bytes, chunk, rows, dropped)
     ("drop",)                  abandon the session  -> ("ok", True, b"", 0, 0)
 
 Any request may instead answer ``("error", "Type: message")``; the
-worker then holds no session and stays reusable.  ``chunk`` holds the
+worker then holds no session and stays reusable.  The session picks its
+core as ``Simulation.run()`` picks a lane, so a served run executes on
+the fused core whenever that covers the spec (the telemetry forwarder
+only observes); ``engine`` and ``fallback`` report the session's choice
+(:attr:`~repro.session.SimulationSession.engine`).  ``chunk`` holds the
 ``rows`` telemetry rows recorded since the previous reply, encoded as
 NDJSON lines and zlib-compressed (10k rows are about 1 MB of NDJSON
 and under 200 kB compressed, and the daemon keeps every finished
@@ -36,9 +41,10 @@ happens in the single-threaded forkserver, never in the threaded
 daemon, so no worker inherits a lock some daemon thread held.  The
 forkserver captured the daemon's environment when it started, so a job
 never relies on it: :class:`JobSettings` carries the daemon's
-``validate`` flag, sanitizer switch and ``REPRO_WORKLOAD_CACHE*``
-variables with every job.  As in any multiprocessing program, a worker
-imports the daemon's ``__main__`` module, so a script that embeds a
+``validate`` flag, sanitizer switch, ``REPRO_ENGINE`` lane pin and
+``REPRO_WORKLOAD_CACHE*`` variables with every job.  As in any
+multiprocessing program, a worker imports the daemon's ``__main__``
+module, so a script that embeds a
 :class:`~repro.serve.server.ReproServer` needs the
 ``if __name__ == "__main__":`` guard, and registry components it adds
 must be registered at import time to exist in the workers.
@@ -70,11 +76,14 @@ from repro.serialize import result_to_bytes
 from repro.serve.protocol import ndjson_line
 from repro.session import SimulationSession
 from repro.sim.events import LifecycleEvent, event_row
+from repro.sim.lanes import ENGINE_ENV
 
 __all__ = ["JobSettings", "SimulationWorker", "WorkerError", "WorkerLost", "WorkerPool"]
 
-#: Environment variables a job carries from the daemon into its worker.
-_CARRIED_ENV_PREFIX = "REPRO_WORKLOAD_CACHE"
+
+def _carried(key: str) -> bool:
+    """Whether a job carries environment variable ``key`` into its worker."""
+    return key == ENGINE_ENV or key.startswith("REPRO_WORKLOAD_CACHE")
 
 
 class WorkerError(RuntimeError):
@@ -96,18 +105,12 @@ class JobSettings:
 
     @classmethod
     def capture(cls, validate: bool, max_events: int) -> "JobSettings":
-        env = tuple(
-            sorted(
-                (key, value)
-                for key, value in os.environ.items()
-                if key.startswith(_CARRIED_ENV_PREFIX)
-            )
-        )
+        env = tuple(sorted((key, value) for key, value in os.environ.items() if _carried(key)))
         return cls(validate, sanitize.enabled(), env, max_events)
 
     def apply(self) -> None:
         """Make this worker process's settings the job's (worker side)."""
-        for key in [key for key in os.environ if key.startswith(_CARRIED_ENV_PREFIX)]:
+        for key in [key for key in os.environ if _carried(key)]:
             del os.environ[key]
         os.environ.update(self.env)
         sanitize.enable(self.sanitize)
@@ -123,6 +126,7 @@ class _TelemetryForwarder(Instrument):
     """
 
     name = "_serve_telemetry"
+    observes_only = True
 
     def __init__(self, max_events: int) -> None:
         super().__init__()
@@ -180,7 +184,7 @@ class _Runner:
         self._session = Simulation(spec, validate=settings.validate).session(
             instruments=[self._forwarder]
         )
-        return self._progress()
+        return (*self._progress(), self._session.engine, self._session.fallback)
 
     def slice(self, n_events: int) -> tuple[Any, ...]:
         assert self._session is not None

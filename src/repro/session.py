@@ -20,6 +20,17 @@ instruments — or the caller, via :meth:`SimulationSession.set_policy`
 and :meth:`SimulationSession.set_gear_cap` — can steer the run while it
 is in flight.  Their reports are folded into the final
 :class:`~repro.scheduling.result.SimulationResult`.
+
+A session runs on the core ``run()`` would pick: the fused core
+(:class:`~repro.sim.columnar.FusedCore`) when it covers the spec and
+every attached instrument declares that it only observes
+(:attr:`~repro.instruments.Instrument.observes_only`), the reference
+scheduler otherwise.  :attr:`SimulationSession.engine` names the core
+and :attr:`SimulationSession.fallback` the reason it is not the fused
+one.  Steering a session that runs on the fused core first moves it to
+the reference core: the events processed so far are replayed on a
+reference scheduler with observers muted, which is exact because both
+cores make the same decision at every event.
 """
 
 from __future__ import annotations
@@ -28,14 +39,20 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.instruments import Instrument, InstrumentContext, build_instruments
+from repro.registry import ENGINES
 from repro.scheduling.result import InstrumentReport, SimulationResult
 from repro.serialize import jsonable
 from repro.sim.engine import SimulationError
+from repro.sim.events import LifecycleEvent
+from repro.sim.lanes import engine_pin
 
 if TYPE_CHECKING:  # imported for annotations only; avoids package cycles
     from repro.api import Simulation
     from repro.core.frequency_policy import FrequencyPolicy
     from repro.experiments.config import PolicySpec
+    from repro.scheduling.base import Scheduler
+    from repro.sim.columnar import FusedCore
+    from repro.sim.engine import Engine
 
 __all__ = ["SessionCancelled", "SimulationSession"]
 
@@ -66,16 +83,26 @@ class SimulationSession:
         instruments: Sequence[Instrument] = (),
     ) -> None:
         self._simulation = simulation
-        self._scheduler = simulation.build_scheduler()
         self._instruments: list[Instrument] = list(
             build_instruments(simulation.spec.instruments)
         )
         self._instruments.extend(instruments)
-        context = InstrumentContext(self._scheduler)
+        self._engine_name, self._fallback = _choose_core(simulation, self._instruments)
+        # The scheduler and the engine it arms; the fused core is both.
+        self._scheduler: Scheduler | FusedCore
+        if self._engine_name == "columnar":
+            # Deferred, like fallback_reason below: the serve daemon
+            # imports this module but never runs a core itself.
+            from repro.sim import columnar
+
+            self._scheduler = columnar.FusedCore(simulation)
+        else:
+            self._scheduler = simulation.build_scheduler()
+        self._context = InstrumentContext(self._scheduler)
         for instrument in self._instruments:
-            instrument.attach(context)
+            instrument.attach(self._context)
             self._scheduler.attach_observer(instrument.on_event)
-        self._engine = self._scheduler.prepare(simulation.jobs)
+        self._engine: Engine | FusedCore = self._scheduler.prepare(simulation.jobs)
         self._result: SimulationResult | None = None
         self._cancelled: str | None = None
 
@@ -83,6 +110,22 @@ class SimulationSession:
     @property
     def spec(self):
         return self._simulation.spec
+
+    @property
+    def engine(self) -> str:
+        """The core running the session: ``"columnar"`` (fused) or ``"reference"``."""
+        return self._engine_name
+
+    @property
+    def fallback(self) -> str | None:
+        """Why the session is not on the fused core, or ``None``.
+
+        A reason from :func:`~repro.sim.columnar.fallback_reason`, or
+        ``"set_policy"``/``"set_gear_cap"`` once steering moved the run
+        to the reference core.  ``None`` on the fused core, and when the
+        reference core was pinned (``spec.engine``, ``REPRO_ENGINE``).
+        """
+        return self._fallback
 
     @property
     def now(self) -> float:
@@ -138,13 +181,11 @@ class SimulationSession:
         self._check_live()
         if n_events < 0:
             raise ValueError(f"n_events must be non-negative, got {n_events}")
-        step = self._engine.step
-        processed = 0
-        while processed < n_events:
-            self._check_budget()
-            if not step():
-                break
-            processed += 1
+        engine = self._engine
+        room = max(self._scheduler.event_budget - engine.events_processed, 0)
+        processed = engine.run_for(min(n_events, room))
+        if processed < n_events and engine.pending_events:
+            self._check_budget()  # the budget ran out, not the events
         return processed
 
     def run_until(self, time: float) -> None:
@@ -208,16 +249,54 @@ class SimulationSession:
         Accepts a built policy or a
         :class:`~repro.experiments.config.PolicySpec` (materialised via
         its registered builder).  Running jobs keep their gears; the
-        next scheduling decision uses the new policy.
+        next scheduling decision uses the new policy.  A session on the
+        fused core moves to the reference core first.
         """
+        self._check_live()
         build = getattr(policy, "build", None)
         if build is not None:
             policy = build()
+        self._leave_fused_core("set_policy")
         self._scheduler.set_policy(policy)
 
     def set_gear_cap(self, frequency: float | None) -> None:
-        """Cap future gear selections at ``frequency`` GHz (``None`` lifts it)."""
+        """Cap future gear selections at ``frequency`` GHz (``None`` lifts it).
+
+        A session on the fused core moves to the reference core first.
+        """
+        self._check_live()
+        self._leave_fused_core("set_gear_cap")
         self._scheduler.set_gear_cap(frequency)
+
+    def _leave_fused_core(self, reason: str) -> None:
+        """Move a run on the fused core to the reference core, in place.
+
+        A fresh reference scheduler replays the events processed so far
+        with the instruments' observers muted (they saw those events
+        already), then takes over the session and the instruments'
+        context.
+        """
+        if self._engine_name != "columnar":
+            return
+        simulation = self._simulation
+        scheduler = simulation.build_scheduler()
+        observers = [instrument.on_event for instrument in self._instruments]
+        replaying = True
+
+        def relay(event: LifecycleEvent) -> None:
+            if not replaying:
+                for observer in observers:
+                    observer(event)
+
+        if observers:
+            scheduler.attach_observer(relay)
+        engine = scheduler.prepare(simulation.jobs)
+        engine.run_for(self._engine.events_processed)
+        replaying = False
+        self._scheduler.abort()
+        self._context._scheduler = scheduler
+        self._scheduler, self._engine = scheduler, engine
+        self._engine_name, self._fallback = "reference", reason
 
     @property
     def gear_cap(self) -> float | None:
@@ -247,3 +326,18 @@ class SimulationSession:
                 result = replace(result, instruments=reports)
             self._result = result
         return self._result
+
+
+def _choose_core(
+    simulation: Simulation, instruments: Sequence[Instrument]
+) -> tuple[str, str | None]:
+    """``(engine, fallback)`` for a session, chosen the way ``run()`` picks a lane."""
+    from repro.sim.columnar import fallback_reason  # deferred: see __init__
+
+    pin = engine_pin(simulation.spec)
+    if pin is not None:
+        ENGINES.get(pin)  # an unknown pin fails here as it does in run()
+        if pin != "columnar":
+            return "reference", None
+    reason = fallback_reason(simulation, instruments)
+    return ("columnar" if reason is None else "reference"), reason

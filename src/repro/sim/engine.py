@@ -139,6 +139,17 @@ class Engine:
             self._running = False
         return True
 
+    def run_for(self, n_events: int) -> int:
+        """Process at most ``n_events`` events, one :meth:`step` each.
+
+        Returns how many ran: fewer than asked only once the queue is
+        empty.
+        """
+        processed = 0
+        while processed < n_events and self.step():
+            processed += 1
+        return processed
+
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Process events until the queue drains (or a bound is hit).
 

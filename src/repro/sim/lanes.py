@@ -17,10 +17,17 @@ Two lanes ship:
     A fused, allocation-light EASY/FCFS core
     (:mod:`repro.sim.columnar`) holding job state in preallocated numpy
     arrays and batching event runs between scheduler decision points.
-    Configurations it does not cover (validate mode, sleep policies,
-    boost, timelines, instruments, the conservative scheduler, policy
-    kinds beyond the bundled four) and a missing numpy fall back to the
-    reference core transparently — the results are identical either way.
+    Configurations it does not cover (validate or sanitize mode, sleep
+    policies, boost, timelines, the conservative scheduler, policy kinds
+    beyond the bundled four, an empty trace) and a missing numpy fall
+    back to the reference core transparently — the results are
+    identical either way; :func:`~repro.sim.columnar.fallback_reason`
+    names the reason.
+
+A :class:`~repro.session.SimulationSession` — and through it every
+instrumented ``run()`` and every served run — chooses between the same
+two cores with the same pins, and also runs on the fused core when its
+instruments only observe.
 
 The lane is chosen automatically: ``columnar`` whenever numpy is
 importable, ``reference`` otherwise.  Two pins override that choice —
@@ -48,7 +55,7 @@ if TYPE_CHECKING:  # imported for annotations only; avoids package cycles
     from repro.experiments.config import RunSpec
     from repro.scheduling.result import SimulationResult
 
-__all__ = ["ENGINE_ENV", "EngineLane", "resolve_engine_name"]
+__all__ = ["ENGINE_ENV", "EngineLane", "engine_pin", "resolve_engine_name"]
 
 #: Environment variable pinning the process-wide lane (CI uses it to
 #: drive the whole suite through the reference core).
@@ -97,8 +104,13 @@ ENGINES.add("reference", _REFERENCE)
 ENGINES.add("columnar", ColumnarLane())
 
 
-def resolve_engine_name(spec: RunSpec) -> str:
-    """The lane ``spec`` runs on: its pin, else ``REPRO_ENGINE``, else automatic."""
+def engine_pin(spec: RunSpec) -> str | None:
+    """The lane ``spec`` is pinned to: its own pin, else ``REPRO_ENGINE``."""
     if spec.engine is not None:
         return spec.engine
-    return os.environ.get(ENGINE_ENV) or _AUTOMATIC
+    return os.environ.get(ENGINE_ENV) or None
+
+
+def resolve_engine_name(spec: RunSpec) -> str:
+    """The lane ``spec`` runs on: its pin, else ``REPRO_ENGINE``, else automatic."""
+    return engine_pin(spec) or _AUTOMATIC

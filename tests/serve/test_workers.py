@@ -33,6 +33,7 @@ from repro.serve.client import ServeClient
 from repro.serve.protocol import END_OF_STREAM, TERMINAL_STATES, sse_line
 from repro.serve.quotas import QuotaPolicy
 from repro.serve.server import ReproServer, canonical_result_bytes
+from repro.sim.lanes import ENGINE_ENV
 
 SPEC = RunSpec(workload="SDSC", n_jobs=40, seed=5, policy=PolicySpec.power_aware(2.0, 4))
 #: Long enough (in 20-event slices) that two of them overlap on a
@@ -41,7 +42,8 @@ OVERLAP_SPEC = RunSpec(workload="SDSC", n_jobs=1000, seed=1)
 #: Still running when stop() lands (500-event slices).
 LONG_SPEC = RunSpec(workload="SDSC", n_jobs=4000, seed=1)
 #: One slice of this (all of it, at slice_events=10**6) takes well over
-#: half a second: far longer than the lease in the kill test.
+#: half a second on the reference core, which the kill test pins: far
+#: longer than the lease there.
 WEDGE_SPEC = RunSpec(workload="SDSC", n_jobs=20_000, seed=3)
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -211,7 +213,10 @@ class TestStress:
 
 class TestLeaseKill:
     @linux_only
-    def test_lease_expiry_mid_slice_kills_and_replaces_the_worker(self):
+    def test_lease_expiry_mid_slice_kills_and_replaces_the_worker(self, monkeypatch):
+        # The fused core runs the whole wedge in about 0.25 s, too close
+        # to the lease; the job carries the reference pin to its worker.
+        monkeypatch.setenv(ENGINE_ENV, "reference")
         quota = QuotaPolicy(lease_seconds=0.15)
         with ReproServer(max_workers=1, slice_events=10**6, quota=quota) as server:
             job, _ = server.submit(WEDGE_SPEC)
@@ -389,3 +394,28 @@ class TestJobSettings:
             assert job.result_bytes == expected_bytes(xl)
             assert server.stats()["workers"]["started"] == 1
         assert list(tmp_path.glob("*.npz")), "the worker ignored the job's cache dir"
+
+    def test_engine_pin_travels_with_the_job(self, monkeypatch):
+        """The forkserver keeps the environment it started with, so a
+        ``REPRO_ENGINE`` set after the first job reaches the worker only
+        through the job's settings."""
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        later = replace(SPEC, seed=6)
+        with ReproServer(max_workers=1) as server:
+            client = ServeClient(server.address)
+            first = client.submit(SPEC)["job_id"]
+            status = client.wait(first, timeout=60.0)
+            assert status["state"] == "done"
+            # The daemon's own choice for an unpinned spec.
+            expected = Simulation(SPEC).session()
+            assert (status["engine"], status["fallback"]) == (
+                expected.engine,
+                expected.fallback,
+            )
+            monkeypatch.setenv(ENGINE_ENV, "reference")
+            second = client.submit(later)["job_id"]
+            status = client.wait(second, timeout=60.0)
+            assert status["state"] == "done"
+            assert (status["engine"], status["fallback"]) == ("reference", None)
+            assert client.result_bytes(second) == expected_bytes(later)
+            assert server.stats()["workers"]["started"] == 1
