@@ -48,9 +48,13 @@ SLEEP_SDSC_POLICY = SleepPolicy(
 )
 
 #: Two pinned workloads x {no-DVFS baseline, the paper's DVFS(2, NO)},
-#: plus the reactive power-capping scenario on SDSC, the node-sleep
-#: scenario on SDSC DVFS(2, NO) and conservative backfilling (the
-#: availability-profile planner) on SDSC DVFS(2, NO).
+#: plus the reactive power-capping scenario on SDSC, two node-sleep
+#: scenarios on SDSC DVFS(2, NO) and conservative backfilling (the
+#: availability-profile planner) on SDSC DVFS(2, NO).  The seed-2 sleep
+#: trace pins the backfill scan's wake-delay branches: a backfilled
+#: start whose wake stall pushes its estimate past the head's
+#: reservation makes the scan re-walk the reservation and re-enumerate
+#: its candidates (twice each in this run; seed 1 reaches neither).
 GOLDEN_SPECS: dict[str, RunSpec] = {
     "sdsc_300_nodvfs": RunSpec(
         workload="SDSC", n_jobs=300, seed=1, policy=PolicySpec.baseline()
@@ -69,6 +73,13 @@ GOLDEN_SPECS: dict[str, RunSpec] = {
         workload="SDSC",
         n_jobs=300,
         seed=1,
+        policy=PolicySpec.power_aware(2.0, None),
+        sleep=SLEEP_SDSC_POLICY,
+    ),
+    "sdsc_200_sleep": RunSpec(
+        workload="SDSC",
+        n_jobs=200,
+        seed=2,
         policy=PolicySpec.power_aware(2.0, None),
         sleep=SLEEP_SDSC_POLICY,
     ),
