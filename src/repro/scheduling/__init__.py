@@ -6,10 +6,6 @@ from repro.scheduling.easy import EasyBackfilling
 from repro.scheduling.export import outcomes_to_csv, result_summary_row
 from repro.scheduling.fcfs import FcfsScheduler
 from repro.scheduling.job import Job, JobOutcome, validate_jobs
-from repro.scheduling.reference import (
-    ReferenceConservativeBackfilling,
-    ReferenceEasyBackfilling,
-)
 from repro.scheduling.result import SimulationResult, TimelinePoint
 
 __all__ = [
@@ -18,8 +14,6 @@ __all__ = [
     "FcfsScheduler",
     "Job",
     "JobOutcome",
-    "ReferenceConservativeBackfilling",
-    "ReferenceEasyBackfilling",
     "outcomes_to_csv",
     "result_summary_row",
     "Scheduler",

@@ -57,9 +57,6 @@ class SchedulerConfig:
     record_timeline:
         Record a (time, queue length, busy CPUs) sample after every
         event; needed only by timeline-style figures.
-    clamp_runtimes:
-        Clamp ``runtime`` to ``requested_time`` on ingest
-        (kill-at-limit semantics; keeps reservations conservative).
     sleep:
         In-engine node power management
         (:class:`~repro.cluster.power.SleepPolicy`), or ``None`` for a
@@ -79,7 +76,6 @@ class SchedulerConfig:
     validate: bool = False
     boost: DynamicBoostConfig | None = None
     record_timeline: bool = False
-    clamp_runtimes: bool = True
     sleep: SleepPolicy | None = None
     sanitize: bool = False
 
@@ -337,10 +333,11 @@ class Scheduler(ABC):
 
         The first half of :meth:`run`, exposed so a
         :class:`~repro.session.SimulationSession` can drive the
-        simulation incrementally; returns the armed engine.
+        simulation incrementally; returns the armed engine.  Runtimes
+        are clamped to the request on ingest (kill-at-limit), so no
+        job runs past its estimate.
         """
-        if self._config.clamp_runtimes:
-            jobs = [job.clamped() for job in jobs]
+        jobs = [job.clamped() for job in jobs]
         validate_jobs(jobs, self._machine.total_cpus)
 
         self._engine = Engine()
@@ -586,9 +583,11 @@ class Scheduler(ABC):
                     f"{head.job_id} (must_schedule decisions cannot be skipped)"
                 )
             queue.popleft()
-            self._start_job(now, head, self._ladder[index])
+            self._start_job(now, head, index)
 
-    def _start_job(self, now: float, job: Job, gear: Gear) -> _RunningJob:
+    def _start_job(self, now: float, job: Job, gear_index: int) -> float:
+        """Start ``job`` at ladder index ``gear_index``; returns its estimated end."""
+        gear = self._ladder[gear_index]
         coefficient = self._time_model.coefficient(gear.frequency, job.beta)
         self._pool.allocate(job.size)
         # A start that rouses sleeping nodes stalls for the wake
@@ -605,9 +604,7 @@ class Scheduler(ABC):
         running = _RunningJob(job, gear, now)
         running.segment_start = begin
         running.actual_end = begin + job.runtime * coefficient
-        estimated = begin + job.requested_time * coefficient
-        # Keep the reservation profile conservative even for unclamped traces.
-        running.estimated_end = max(estimated, running.actual_end)
+        running.estimated_end = begin + job.requested_time * coefficient
         running.ever_reduced = gear != self._gears.top
         running.finish_handle = self._engine.schedule(
             running.actual_end, EventKind.JOB_FINISH, running
@@ -630,7 +627,7 @@ class Scheduler(ABC):
             self._emit(
                 JobStarted(now, job.job_id, job.size, gear.frequency, now - job.submit_time)
             )
-        return running
+        return running.estimated_end
 
     def _drop_estimate(self, running: _RunningJob) -> None:
         entry = running.estimate_entry

@@ -18,7 +18,7 @@ incrementally across events through the scheduler lifecycle hooks: a
 starting job reserves ``[now, estimated_end)`` once, a finishing job
 releases its remaining claim, and each pass merely advances the profile
 origin and copies it.  The rebuild-per-pass implementation lives on as
-:class:`~repro.scheduling.reference.ReferenceConservativeBackfilling`,
+``ReferenceConservativeBackfilling`` in ``tests/oracles/reference.py``,
 and a differential test pins this scheduler to it schedule-for-schedule.
 Both plan on the one flat :class:`~repro.cluster.profile.AvailabilityProfile`
 (see that module for why it carries no index).
@@ -171,7 +171,6 @@ class ConservativeBackfilling(Scheduler):
                     f"policy {self._policy.describe()} refused job {job.job_id} "
                     f"in a must_schedule decision"
                 )
-            gear = self._ladder[index]
             duration = probe.duration_for(index)
             start = probe.start_for(duration)
             begin = max(start, now)
@@ -181,8 +180,8 @@ class ConservativeBackfilling(Scheduler):
             end = begin + duration
             plan[job.job_id] = begin
             if start <= now and self._pool.fits(job.size):
-                started = self._start_job(now, job, gear)
-                stall = started.segment_start - now
+                self._start_job(now, job, index)
+                stall = self._running[job.job_id].segment_start - now
                 if stall > 0.0:
                     # The start roused sleeping nodes: its true window
                     # includes the wake stall, and later queue entries in
@@ -191,9 +190,8 @@ class ConservativeBackfilling(Scheduler):
                     # future start is unknowable — but every pass replans
                     # over the incremental profile, which carries the
                     # stall through estimated_end).  Keyed on the actual
-                    # stall, never on estimate overruns, so zero-wake
-                    # (and unclamped) schedules stay byte-identical to a
-                    # sleep-free run.
+                    # stall, so zero-wake schedules stay byte-identical to
+                    # a sleep-free run.
                     end += stall
             else:
                 still_waiting.append(job)

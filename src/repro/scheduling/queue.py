@@ -21,10 +21,10 @@ available), giving
   sentinel size, so they drop out of the mask for free.
 
 The mask is a *superset* filter: callers re-verify every returned
-candidate against the exact, current-state gates (thresholds only
-tighten during a pass; see ``EasyBackfilling._backfill_scan``), so the
-vectorisation cannot change a single scheduling decision — it only
-skips jobs the exact scan would have skipped anyway.
+candidate against the exact, current-state gates (see
+:func:`repro.scheduling.easy.backfill_scanner`), so the vectorisation
+cannot change a single scheduling decision — it only skips jobs the
+exact scan would have skipped anyway.
 
 The class implements the deque surface the schedulers use (``append``,
 ``popleft``, ``remove``, ``clear``, ``extend``, ``len``, iteration,
@@ -169,26 +169,10 @@ class JobQueue:
         """Slots allocated so far; new appends land at this position."""
         return self._n
 
-    @property
-    def slots(self) -> list[Job | None]:
-        """The backing slot list (read-only use; ``None`` = tombstone).
-
-        Exposed so hot scan loops can index positions from
-        :meth:`backfill_candidates` without a method call per job.
-        """
-        return self._jobs
-
     def job_at(self, position: int) -> Job:
         job = self._jobs[position]
         assert job is not None, f"position {position} is tombstoned"
         return job
-
-    def remove_at(self, position: int) -> None:
-        """Tombstone ``position`` (no compaction: positions stay stable
-        for the remainder of the scheduling pass that looked them up)."""
-        job = self._jobs[position]
-        assert job is not None, f"position {position} already tombstoned"
-        self._kill(position, job)
 
     def backfill_candidates(self, free: int, extra: int, slack: float, after: int | None = None):
         """Positions of queued non-head jobs passing the admission pre-filter.

@@ -31,20 +31,22 @@ not copies — both cores call the same functions:
   with the same arguments as the reference scheduler calls it, at the
   same three sites: the queue heads of an FCFS pass and of an EASY
   pass, and the EASY backfill candidates;
+* the EASY backfill scan, with its candidate cache, is the closure
+  :func:`~repro.scheduling.easy.backfill_scanner` returns, bound here
+  to this core's ``start_job``;
 * EASY's per-gear admission test is
   :func:`~repro.scheduling.easy.lowest_feasible`;
 * the head-reservation walk is
   :func:`~repro.scheduling.easy.head_reservation`, and the wait queue
   is :class:`~repro.scheduling.queue.JobQueue`.
 
-Three pieces are still restated here, each the *same expression in the
-same order* as the reference core's: ``start_job``'s execution-window
-arithmetic (actual and estimated end), the energy segment accumulation
-on each finish, and the pre-filtered backfill scan with its memo/cache
-keys (:mod:`repro.scheduling.base` / :mod:`repro.scheduling.easy`).
-The first two run once per job on the hottest path of the loop, so they
-stay inlined: sharing them as calls (an execution-window helper, and
-an ``EnergyAccounting.add_job`` per finish) was measured to slow the
+Two pieces are restated here, each the *same expression in the same
+order* as the reference core's (:mod:`repro.scheduling.base`):
+``start_job``'s execution-window arithmetic (actual and estimated end)
+and the energy segment accumulation on each finish.  Both run once per
+job on the hottest path of the loop, so they stay inlined: sharing them
+as calls (an execution-window helper, and an
+``EnergyAccounting.add_job`` per finish) was measured to slow the
 benchmark's ``inproc-deep`` workload (SDSC-200k, DVFS(2,NO)) from a
 median request of 5.36 to 5.59 s, in 4 of 4 alternating pairs on
 2 vCPUs (Python 3.11, numpy 2.4).
@@ -84,6 +86,7 @@ from __future__ import annotations
 
 import gc
 from bisect import bisect_left, bisect_right, insort
+from functools import partial
 from heapq import heappop, heappush
 from math import inf
 from typing import TYPE_CHECKING, Any, Callable, Generator, NoReturn, Sequence
@@ -98,7 +101,7 @@ from repro.power.energy import EnergyAccounting
 from repro.power.time_model import BetaTimeModel
 from repro.registry import POWER_MODELS
 from repro.scheduling.columns import OutcomeColumns
-from repro.scheduling.easy import head_reservation, lowest_feasible
+from repro.scheduling.easy import ScanCache, backfill_scanner, head_reservation
 from repro.scheduling.job import Job, validate_jobs
 from repro.scheduling.queue import JobQueue
 from repro.scheduling.result import SimulationResult
@@ -418,21 +421,8 @@ class FusedCore:
         heap = self._heap
         seq = n
         reservation_memo: tuple[tuple[int, int, int], tuple[float, int]] | None = None
-        # The last clean (acceptance-free) scan's candidates with the
-        # thresholds they were enumerated at, plus the exact machine state
-        # (est_version, free) the scan rejected them under:
-        # (head_id, generation, free0, extra0, slack0, positions, seen,
-        #  est_version_at_scan, free_at_scan).
-        # The reference caches on exact (head, free, est_version,
-        # generation) equality; this cache is a strict generalisation built
-        # on the same superset argument: the pre-filter mask is monotone in
-        # (free, extra, slack), so whenever the current thresholds are all
-        # <= the cached ones (same head slot, same generation), every job
-        # passing the current gates already passed the cached mask — the
-        # cached positions plus the unfiltered arrival tail remain a valid
-        # superset, and every candidate is still re-decided against exact
-        # current state, so no scheduling decision can change.
-        scan_cache: tuple[int, int, int, int, float, Any, int, int, int] | None = None
+        # What the last backfill scan returned; arrival_pass reads it.
+        scan_cache: ScanCache | None = None
         fin_rows, fin_start, fin_end, fin_gear, fin_energy = self._finished
         row_of = {job.job_id: row for row, job in enumerate(jobs)}
         submit = [job.submit_time for job in jobs]
@@ -514,8 +504,6 @@ class FusedCore:
             free -= job.size
             actual_end = now + job.runtime * coef
             estimated = now + job.requested_time * coef
-            if actual_end > estimated:  # max(estimated, actual_end)
-                estimated = actual_end
             entry = (estimated, job.job_id, job.size)
             insort(estimates, entry)
             est_version += 1
@@ -542,153 +530,18 @@ class FusedCore:
                 queue.popleft()
                 start_job(now, head, gear_idx)
 
-        def backfill_scan(now: float, head: Job, t_res: float, extra: int) -> None:
-            """Mirror of ``EasyBackfilling._backfill_scan`` with inlined decisions."""
-            nonlocal scan_cache, reservation_memo, free, seq, est_version
-            free_now = free
-            if free_now == 0:
-                return
-            slack = (t_res - now) + 1e-9 + 1e-12 * abs(t_res)
-            head_id = head.job_id
-            generation = queue.generation
-            n_now = queue._n
-            cache = scan_cache
-            if (
-                cache is not None
-                and cache[0] == head_id
-                and cache[1] == generation
-                and free_now <= cache[2]
-                and extra <= cache[3]
-                and slack <= cache[4]
-            ):
-                positions, seen = cache[5], cache[6]
-                if n_now > seen:
-                    positions = queue.extend_positions(positions, seen, n_now)
-                if free_now < cache[2] and len(positions) > 32:
-                    # The reused superset was enumerated at a looser free
-                    # gate; pruning by the current one is pure subsetting
-                    # (the scan re-checks ``size <= free`` anyway) and keeps
-                    # the candidate walk short.  The pruned set is only a
-                    # superset for free <= free_now, so the re-store
-                    # envelope shrinks with it.  Small sets skip the prune:
-                    # the walk rejects faster than the gather, and the
-                    # un-pruned set keeps the looser (better) envelope.
-                    positions = queue.narrow_positions(positions, free_now)
-                    envelope = (free_now, cache[3], cache[4])
-                else:
-                    # A clean scan re-stores under the cached envelope: that
-                    # is what the positions were actually enumerated at.
-                    envelope = (cache[2], cache[3], cache[4])
-            else:
-                positions = queue.backfill_candidates(free_now, extra, slack)
-                envelope = (free_now, extra, slack)
-            slots = queue._jobs
-            queue_len = queue._live
-            mask_t_res = t_res
-            mask_extra = extra
-            accepted_any = False
-            size = 0
-            position = -1
-            started_estimate = 0.0
-            while True:
-                accepted_index = None
-                # tolist() converts the whole candidate array to native ints
-                # in one C call; iterating the ndarray directly would box a
-                # numpy scalar per candidate and slow every slot lookup.
-                walk = positions.tolist() if isinstance(positions, _np.ndarray) else positions
-                for index, position in enumerate(walk):
-                    job = slots[position]
-                    if job is None:  # pragma: no cover - defensive
-                        continue
-                    size = job.size
-                    if size > free_now:
-                        continue
-                    if size <= extra:
-                        lowest = 0
-                    elif not (now + job.requested_time <= t_res):
-                        continue
-                    else:
-                        beta = job.beta
-                        lowest = lowest_feasible(
-                            now,
-                            job.requested_time,
-                            default_coefs if beta is None else coefficients(freqs, beta),
-                            t_res,
-                        )
-                    gear_idx = select(
-                        job,
-                        now - job.submit_time,
-                        queue_len - 1,
-                        (total_cpus - free_now) / total_cpus,
-                        False,
-                        lowest,
-                    )
-                    if gear_idx < 0:
-                        continue
-                    # remove_at inlined to its _kill core: the walk already
-                    # proved the slot live.
-                    queue._kill(position, job)
-                    queue_len -= 1
-                    free_now -= size
-                    # start_job inlined: this accept runs ~once per job on
-                    # backfill-heavy traces, and the call overhead shows.
-                    beta = job.beta
-                    if beta is None:
-                        coef = default_coefs[gear_idx]
-                    else:
-                        coef = coefficient(freqs[gear_idx], beta)
-                    free -= size
-                    actual_end = now + job.runtime * coef
-                    started_estimate = now + job.requested_time * coef
-                    if actual_end > started_estimate:  # max(estimated, actual_end)
-                        started_estimate = actual_end
-                    entry = (started_estimate, job.job_id, size)
-                    insort(estimates, entry)
-                    est_version += 1
-                    heappush(
-                        heap,
-                        (actual_end, seq, row_of[job.job_id], job, gear_idx, now, entry),
-                    )
-                    seq += 1
-                    if emit is not None:
-                        started(now, job, gear_idx)
-                    accepted_index = index
-                    break
-                if accepted_index is None:
-                    if not accepted_any:
-                        free0, extra0, slack0 = envelope
-                        scan_cache = (
-                            head_id, generation, free0, extra0, slack0, positions,
-                            n_now, est_version, free_now,
-                        )
-                    return
-                if free_now == 0:
-                    return
-                accepted_any = True
-                if started_estimate <= t_res:
-                    pass  # t_res and extra are unchanged
-                elif size <= extra:
-                    extra -= size
-                else:
-                    # The acceptance bumped est_version, so the memo cannot
-                    # hit: walk, and leave the result for the next pass.
-                    t_res, extra = head_reservation(estimates, free, head)
-                    reservation_memo = ((head_id, free, est_version), (t_res, extra))
-                if t_res > mask_t_res or extra > mask_extra:
-                    slack = (t_res - now) + 1e-9 + 1e-12 * abs(t_res)
-                    mask_t_res = t_res
-                    mask_extra = extra
-                    positions = queue.backfill_candidates(
-                        free_now, extra, slack, after=int(position)
-                    )
-                else:
-                    rest = positions[accepted_index + 1 :]
-                    positions = (
-                        queue.narrow_positions(rest, free_now) if len(rest) > 32 else rest
-                    )
-                slots = queue._jobs
-
         if self._scheduler_name == "easy":
+            backfill_scan = backfill_scanner(
+                queue,
+                total_cpus,
+                default_coefs,
+                partial(coefficients, freqs),
+                select,
+                start_job,
+                # Never called here: without wake stalls a backfilled start
+                # ends by t_res or fits in the spare capacity beside the head.
+                lambda head: head_reservation(estimates, free, head),
+            )
 
             def run_pass(now: float) -> None:
                 """Mirror of ``EasyBackfilling._schedule_pass`` (validate off),
@@ -714,7 +567,7 @@ class FusedCore:
                 assert head is not None
                 # The memo check inlined (one per scheduling pass); misses
                 # run the shared walk.
-                nonlocal reservation_memo
+                nonlocal reservation_memo, scan_cache
                 key = (head.job_id, free, est_version)
                 memo = reservation_memo
                 if memo is not None and memo[0] == key:
@@ -722,7 +575,7 @@ class FusedCore:
                 else:
                     t_res, extra = head_reservation(estimates, free, head)
                     reservation_memo = (key, (t_res, extra))
-                backfill_scan(now, head, t_res, extra)
+                scan_cache = backfill_scan(now, head, t_res, extra, free, est_version, scan_cache)
 
             def arrival_pass(now: float, job: Job) -> None:
                 """An arrival-triggered pass, skipped when provably a no-op.

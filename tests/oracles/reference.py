@@ -54,7 +54,7 @@ class ReferenceEasyBackfilling(Scheduler):
             if index < 0:
                 continue
             self._queue.remove(job)
-            self._start_job(now, job, self._ladder[index])
+            self._start_job(now, job, index)
             profile = self._running_profile(now)
             t_res = self._head_start(profile, now, head)
             trial = self._with_head_reserved(profile, now, head, t_res)
@@ -153,7 +153,6 @@ class ReferenceConservativeBackfilling(Scheduler):
                     f"policy {self._policy.describe()} refused job {job.job_id} "
                     f"in a must_schedule decision"
                 )
-            gear = self._ladder[index]
             duration = self._scaled_request(job, index)
             start = profile.find_start(now, duration, job.size)
             begin = max(start, now)
@@ -163,7 +162,7 @@ class ReferenceConservativeBackfilling(Scheduler):
             profile.reserve(begin, begin + duration, job.size)
             plan[job.job_id] = begin
             if start <= now and self._pool.fits(job.size):
-                self._start_job(now, job, gear)
+                self._start_job(now, job, index)
             else:
                 still_waiting.append(job)
         self._queue.clear()

@@ -9,8 +9,8 @@ from repro.scheduling.conservative import ConservativeBackfilling
 from repro.scheduling.easy import EasyBackfilling
 from repro.scheduling.fcfs import FcfsScheduler
 from repro.scheduling.job import Job
-from repro.scheduling.reference import ReferenceEasyBackfilling
 from tests.conftest import make_job
+from tests.oracles.reference import ReferenceEasyBackfilling
 
 ALL_SCHEDULERS = [EasyBackfilling, FcfsScheduler, ConservativeBackfilling, ReferenceEasyBackfilling]
 

@@ -17,11 +17,11 @@ from repro.core.frequency_policy import BsldThresholdPolicy, FixedGearPolicy
 from repro.scheduling.base import SchedulerConfig
 from repro.scheduling.conservative import ConservativeBackfilling
 from repro.scheduling.easy import EasyBackfilling
-from repro.scheduling.reference import (
+from tests.conftest import random_workload, workload_strategy
+from tests.oracles.reference import (
     ReferenceConservativeBackfilling,
     ReferenceEasyBackfilling,
 )
-from tests.conftest import random_workload, workload_strategy
 
 POLICIES = {
     "nodvfs": lambda: FixedGearPolicy(),

@@ -120,18 +120,14 @@ def test_reduction_only_ever_costs_performance_not_schedulability():
     assert result.reduced_jobs == 80
 
 
-def test_clamp_runtimes_config():
-    """With clamping off, runtime > request must still simulate safely."""
+def test_runtimes_clamp_to_request_on_ingest():
+    """A job running past its request is killed at the limit."""
     from repro.scheduling.job import Job
 
     jobs = [Job(1, 0.0, 300.0, 100.0, 2)]  # runs past its estimate
     machine = Machine("m", 4)
     clamped = EasyBackfilling(machine, FixedGearPolicy()).run(jobs)
     assert clamped.outcomes[0].finish_time == pytest.approx(100.0)
-    raw = EasyBackfilling(
-        machine, FixedGearPolicy(), config=SchedulerConfig(clamp_runtimes=False, validate=True)
-    ).run(jobs)
-    assert raw.outcomes[0].finish_time == pytest.approx(300.0)
 
 
 def test_determinism():
