@@ -1,6 +1,6 @@
 """End-to-end smoke test for the ``repro serve`` daemon (CI gate).
 
-Two phases, both against real subprocesses (``python -m repro.cli
+Three phases, all against real subprocesses (``python -m repro.cli
 serve``) on ephemeral ports:
 
 1. **Byte-identity**: submit a small SDSC spec over HTTP, stream its
@@ -19,6 +19,14 @@ serve``) on ephemeral ports:
    daemon over the same directory, and assert the job is recovered
    under its **original id** and completes **byte-identically**.
 
+3. **Results read back from the cache dir**: a daemon over a
+   ``--cache-dir`` keeps a finished job's result only in its cache
+   entry.  Two full fetches and an aggregates fetch must be
+   byte-identical to in-process encodings, the finished job's event
+   stream must equal the reference recording, and once the entry is
+   deleted the fetch must answer the structured ``server_error`` (the
+   daemon held no copy) and a resubmission must run the spec afresh.
+
 Run with::
 
     PYTHONPATH=src python scripts/serve_smoke.py
@@ -35,13 +43,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 from typing import NoReturn
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.api import Simulation  # noqa: E402
 from repro.experiments.config import InstrumentSpec, RunSpec  # noqa: E402
-from repro.serialize import result_to_dict  # noqa: E402
+from repro.serialize import result_to_dict, spec_key  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
 from repro.serve.protocol import END_OF_STREAM, ServeError  # noqa: E402
 from repro.serve.quotas import QuotaPolicy  # noqa: E402
@@ -95,6 +104,70 @@ def reap(process: subprocess.Popen) -> None:
         process.wait()
     assert process.stdout is not None
     process.stdout.close()
+
+
+def expect_recording(rows: list[dict]) -> None:
+    """The streamed rows (sentinel last) must equal an in-process
+    reference-core ``event_trace`` recording of :data:`SPEC`."""
+    recorder = InstrumentSpec.of("event_trace", limit=QuotaPolicy().max_events)
+    recorded = (
+        Simulation(SPEC.with_engine("reference").with_instruments(recorder))
+        .run()
+        .instrument("event_trace")
+    )
+    if rows[:-1] != recorded["events"]:
+        fail(
+            f"telemetry stream differs from the in-process reference "
+            f"recording ({len(rows) - 1} rows streamed, {recorded['recorded']} recorded)"
+        )
+    if rows[-1]["events_dropped"] != recorded["dropped"]:
+        fail(
+            f"events_dropped {rows[-1]['events_dropped']} != the recording's "
+            f"{recorded['dropped']}"
+        )
+
+
+def cache_dir_phase() -> None:
+    """A finished job's result lives in its cache entry, not the daemon."""
+    with tempfile.TemporaryDirectory(prefix="serve-smoke-") as cache_dir:
+        process = spawn_daemon("--cache-dir", cache_dir)
+        try:
+            client = ServeClient(wait_for_address(process), client_id="serve-smoke")
+            job_id = client.submit(SPEC)["job_id"]
+            final = client.wait(job_id, timeout=120.0)
+            if final["state"] != "done":
+                fail(f"cache-dir job ended {final['state']!r}: {final['error']}")
+            result = Simulation(SPEC).run()
+            expected = canonical_result_bytes(result_to_dict(result))
+            for fetch in ("first", "second"):
+                if client.result_bytes(job_id) != expected:
+                    fail(f"{fetch} fetch of a result read back from the cache dir differs")
+            aggregates = canonical_result_bytes(result_to_dict(result.to_aggregates()))
+            if client.result_bytes(job_id, aggregates_only=True) != aggregates:
+                fail("aggregates of a result read back from the cache dir differ")
+            expect_recording(list(client.stream_events(job_id)))
+            print(
+                "serve-smoke: OK — a cache-dir daemon served the result twice, "
+                "its aggregates and its stream byte-identically"
+            )
+            (Path(cache_dir) / f"{spec_key(SPEC)}.json").unlink()
+            try:
+                client.result_bytes(job_id)
+            except ServeError as err:
+                if err.code != "server_error":
+                    fail(f"a deleted cache entry answered {err.code!r}, not 'server_error'")
+            else:
+                fail("the daemon still served a result whose cache entry was deleted")
+            again = client.submit(SPEC)
+            if again["deduped"] or client.result_bytes(again["job_id"]) != expected:
+                fail("resubmitting a spec whose entry was deleted did not run it afresh")
+            print(
+                "serve-smoke: OK — the daemon held no copy of the result; a lost "
+                "entry answers server_error and a resubmission re-runs"
+            )
+        finally:
+            process.send_signal(signal.SIGINT)
+            reap(process)
 
 
 def sigkill_drill() -> None:
@@ -175,22 +248,7 @@ def main() -> int:
             fail("streamed zero telemetry events before the sentinel")
         print(f"serve-smoke: streamed {telemetry} telemetry events + sentinel")
 
-        recorder = InstrumentSpec.of("event_trace", limit=QuotaPolicy().max_events)
-        recorded = (
-            Simulation(SPEC.with_engine("reference").with_instruments(recorder))
-            .run()
-            .instrument("event_trace")
-        )
-        if rows[:-1] != recorded["events"]:
-            fail(
-                f"telemetry stream differs from the in-process reference "
-                f"recording ({telemetry} rows streamed, {recorded['recorded']} recorded)"
-            )
-        if sentinel["events_dropped"] != recorded["dropped"]:
-            fail(
-                f"events_dropped {sentinel['events_dropped']} != the recording's "
-                f"{recorded['dropped']}"
-            )
+        expect_recording(rows)
         status = client.status(job_id)
         if status["engine"] != "columnar":
             fail(
@@ -217,6 +275,7 @@ def main() -> int:
         process.send_signal(signal.SIGINT)
         reap(process)
     sigkill_drill()
+    cache_dir_phase()
     return 0
 
 

@@ -39,8 +39,9 @@ if TYPE_CHECKING:  # imported for annotations only; avoids package cycles
     from repro.instruments import Instrument
     from repro.scheduling.result import SimulationResult
     from repro.session import SimulationSession
+    from repro.workloads.sources import WorkloadBundle
 
-__all__ = ["DEFAULT_N_JOBS", "Simulation", "normalize_spec", "run"]
+__all__ = ["DEFAULT_N_JOBS", "Simulation", "normalize_spec", "run", "workload_key"]
 
 #: Trace length used when a spec leaves ``n_jobs`` unset (the paper's §5).
 DEFAULT_N_JOBS = 5000
@@ -55,6 +56,20 @@ def normalize_spec(spec: RunSpec, default_n_jobs: int = DEFAULT_N_JOBS) -> RunSp
     if spec.n_jobs is None:
         return replace(spec, n_jobs=default_n_jobs)
     return spec
+
+
+def workload_key(spec: RunSpec) -> tuple:
+    """What a spec's workload bundle depends on: ``(source, workload, n_jobs, seed)``.
+
+    Specs with equal keys share one resolved bundle
+    (:meth:`Simulation.from_bundle`): a batch's sweep across workers,
+    and a serve worker across the jobs it runs.
+    """
+    return (spec.source, spec.workload, spec.n_jobs, spec.seed)
+
+
+def _scaled_machine(bundle: WorkloadBundle, size_factor: float) -> Machine:
+    return Machine(bundle.machine_name, bundle.total_cpus).scaled(size_factor)
 
 
 class Simulation:
@@ -94,6 +109,19 @@ class Simulation:
         self._jobs: list[Job] | None = list(jobs) if jobs is not None else None
         self._machine = machine
 
+    @classmethod
+    def from_bundle(
+        cls, spec: RunSpec, bundle: WorkloadBundle, *, validate: bool = False
+    ) -> "Simulation":
+        """A Simulation over an already-resolved workload bundle.
+
+        ``bundle`` must be what the spec's source yields for its
+        :func:`workload_key`; the machine is scaled by the spec's
+        ``size_factor`` here, so one bundle serves every scale.
+        """
+        machine = _scaled_machine(bundle, spec.size_factor)
+        return cls(spec, validate=validate, jobs=bundle.jobs, machine=machine)
+
     # -- materialisation --------------------------------------------------------
     def _materialize(self) -> None:
         if self._jobs is not None and self._machine is not None:
@@ -103,9 +131,7 @@ class Simulation:
         if self._jobs is None:
             self._jobs = list(bundle.jobs)
         if self._machine is None:
-            self._machine = Machine(bundle.machine_name, bundle.total_cpus).scaled(
-                self.spec.size_factor
-            )
+            self._machine = _scaled_machine(bundle, self.spec.size_factor)
 
     @property
     def jobs(self) -> list[Job]:

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.api import Simulation, normalize_spec
+from repro.api import Simulation, normalize_spec, workload_key
 from repro.atomic import write_atomic
 from repro.faults import InjectedCrash, fire as fault_fire, torn_write as fault_torn_write
 from repro.registry import WORKLOAD_SOURCES
@@ -127,23 +127,22 @@ class BatchReport:
     cache_misses: int
 
 
-def _workload_key(spec: RunSpec) -> tuple:
-    return (spec.source, spec.workload, spec.n_jobs, spec.seed)
-
-
 def _build_simulation(spec: RunSpec, validate: bool) -> Simulation:
     """A Simulation over the shared bundle when one is available."""
-    bundle = _WORKLOAD_STORE.get(_workload_key(spec))
+    bundle = _WORKLOAD_STORE.get(workload_key(spec))
     if bundle is None:
         return Simulation(spec, validate=validate)
-    from repro.cluster.machine import Machine  # deferred: avoids import cycles
-
-    machine = Machine(bundle.machine_name, bundle.total_cpus).scaled(spec.size_factor)
-    return Simulation(spec, validate=validate, jobs=bundle.jobs, machine=machine)
+    return Simulation.from_bundle(spec, bundle, validate=validate)
 
 
 def _entry_path(cache_dir: Path, spec: RunSpec) -> Path:
     return cache_dir / f"{spec_key(spec)}.json"
+
+
+def _entry_head(spec: RunSpec) -> bytes:
+    """The bytes before the result in the entry :meth:`BatchRunner.cache_store_bytes` writes."""
+    head = json.dumps({"version": FORMAT_VERSION, "spec": spec_to_dict(spec)})
+    return head[:-1].encode("utf-8") + b', "result": '
 
 
 def _read_entry(
@@ -324,9 +323,28 @@ class BatchRunner:
         """
         if self.cache_dir is None:
             return
-        head = json.dumps({"version": FORMAT_VERSION, "spec": spec_to_dict(spec)})
-        data = head[:-1].encode("utf-8") + b', "result": ' + result_json + b"}"
-        self._cache_write(spec, data)
+        self._cache_write(spec, _entry_head(spec) + result_json + b"}")
+
+    def cache_read_bytes(self, spec: RunSpec, size: int) -> bytes | None:
+        """Read back the ``size`` result bytes :meth:`cache_store_bytes` wrote.
+
+        The slice of ``spec``'s entry between its head and its closing
+        brace, verbatim.  None when there is no such slice: no cache
+        directory, no entry, or an entry that no longer holds exactly
+        this spec's head, ``size`` bytes and the closing brace.
+        """
+        if self.cache_dir is None:
+            return None
+        head = _entry_head(spec)
+        end = len(head) + size
+        try:
+            with open(self._cache_path(spec), "rb") as stream:
+                data = stream.read(end + 2)  # one byte past the end shows a longer file
+        except OSError:
+            return None
+        if len(data) != end + 1 or not data.startswith(head) or data[end:] != b"}":
+            return None
+        return data[len(head) : end]
 
     def _cache_write(self, spec: RunSpec, data: bytes) -> None:
         assert self.cache_dir is not None
@@ -615,7 +633,7 @@ class BatchRunner:
         _WORKLOAD_STORE.clear()
         broken: set[tuple] = set()
         for spec in pending:
-            key = _workload_key(spec)
+            key = workload_key(spec)
             if key in _WORKLOAD_STORE or key in broken:
                 continue
             try:

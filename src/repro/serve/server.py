@@ -26,10 +26,14 @@ its own settings — the daemon's ``validate`` flag, sanitizer switch,
 ``REPRO_ENGINE`` pin and ``REPRO_WORKLOAD_CACHE*`` variables — rather
 than inheriting them.
 
-Memory splits three ways: the daemon holds, per finished job, only its
-canonical result bytes and its telemetry (at most ``max_events`` rows,
-as zlib-compressed NDJSON); the forkserver holds one preloaded
-interpreter; each worker holds the one run it is executing.
+Memory splits three ways.  The daemon holds, per finished job, its
+telemetry (at most ``max_events`` rows in the worker's compact chunks,
+about 120 kB per 10k rows) and, only without a ``cache_dir``, its
+canonical result bytes: with one, the job's cache entry holds them and
+each fetch reads them back, so finished results do not accumulate in
+the daemon.  The forkserver holds one preloaded interpreter.  Each
+worker holds the one run it is executing and the two generated traces
+it used last (see :class:`~repro.serve.worker._Runner`).
 
 Endpoints (all JSON; errors use the shared
 :mod:`~repro.serve.protocol` payload)::
@@ -58,17 +62,17 @@ across server restarts.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import json
 import math
 import signal as signal_module
 import threading
 import time
-import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api import DEFAULT_N_JOBS, normalize_spec
@@ -102,6 +106,7 @@ from repro.serve.worker import (
     WorkerError,
     WorkerLost,
     WorkerPool,
+    chunk_ndjson,
 )
 
 __all__ = ["ReproServer", "ServeJob", "canonical_result_bytes"]
@@ -127,9 +132,11 @@ _REASONS = {
 class ServeJob:
     """One submitted run and everything the endpoints serve about it.
 
-    A finished job keeps only its canonical result bytes and its
-    telemetry as compressed NDJSON chunks; aggregates are decoded from
-    the bytes on the first request for them.
+    A finished job keeps its telemetry as the worker's compressed
+    chunks, and its canonical result bytes only where nothing else
+    holds them: with a cache directory it keeps just their length, and
+    :meth:`read_result` reads them back from the job's cache entry.
+    Aggregates are decoded from the bytes on the first request for them.
     """
 
     def __init__(
@@ -154,8 +161,12 @@ class ServeJob:
         self.from_cache = False
         self.recovered = recovered  # re-admitted from the journal at startup
         self.error: dict[str, Any] | None = None
+        # The result, when no cache entry holds it (see keep_result).
         self.result_bytes: bytes | None = None
+        self._stored: Callable[[], bytes | None] | None = None
         self.cancel_event = threading.Event()
+        # Set (on the event loop) once the job is terminal.
+        self.finished = asyncio.Event()
         self.max_events = max_events
         # Watchdog surface: the monotonic deadline the current slice
         # must renew by (None means "not running").
@@ -191,12 +202,39 @@ class ServeJob:
             if self.worker is not None:
                 self.worker.kill()
 
+    def keep_result(self, data: bytes, cache: BatchRunner) -> None:
+        """Hold the finished result ``data``, which ``cache`` has stored.
+
+        Without a cache directory the job keeps the bytes; with one it
+        keeps only their length, since the cache entry holds them.
+        """
+        if cache.cache_dir is None:
+            self.result_bytes = data
+        else:
+            self._stored = functools.partial(cache.cache_read_bytes, self.spec, len(data))
+
+    def read_result(self) -> bytes:
+        """The finished job's canonical result bytes.
+
+        Raises :class:`ServeError` when they lived only in the cache
+        entry and that entry is gone or has changed since.
+        """
+        if self.result_bytes is not None:
+            return self.result_bytes
+        data = self._stored() if self._stored is not None else None
+        if data is None:
+            raise ServeError(
+                "server_error",
+                f"the result of job {self.job_id} is gone: its cache entry "
+                f"is missing or has changed",
+            )
+        return data
+
     def aggregates_bytes(self) -> bytes:
         """The aggregates-only encoding of the finished result (cached)."""
         with self.lock:
             if self._aggregates_bytes is None:
-                assert self.result_bytes is not None
-                result = result_from_dict(json.loads(self.result_bytes))
+                result = result_from_dict(json.loads(self.read_result()))
                 if not result.is_aggregated:
                     result = result.to_aggregates()
                 self._aggregates_bytes = result_to_bytes(result)
@@ -241,6 +279,8 @@ class ReproServer:
     every job that was submitted but not yet terminal, under its
     original job id, and re-runs it byte-identically (or serves it
     straight from the cache when the result landed before the crash).
+    With a ``cache_dir`` a finished job's result lives only in its
+    cache entry, and every fetch reads it back from there.
 
     ``max_workers`` bounds both the jobs that run at once and the
     simulation worker processes that run them (see
@@ -298,6 +338,9 @@ class ReproServer:
         self._cache_lock = threading.Lock()
         self._jobs: dict[str, ServeJob] = {}
         self._by_key: dict[str, ServeJob] = {}
+        # The jobs not yet terminal: what shedding, the watchdog, drain
+        # and shutdown look at, however many jobs the daemon has served.
+        self._active: set[ServeJob] = set()
         self._ids = itertools.count(1)
         self._accepting = True
         self._draining = False
@@ -379,6 +422,7 @@ class ReproServer:
             with self._state_lock:
                 self._jobs[job.job_id] = job
                 self._by_key[entry.key] = job
+                self._active.add(job)
                 self._recovered_jobs += 1
             executor.submit(self._execute, job)
 
@@ -417,7 +461,7 @@ class ReproServer:
         self._closing.set()
         with self._state_lock:
             self._accepting = False
-            jobs = list(self._jobs.values())
+            jobs = list(self._active)
         assert self._server is not None and self._loop is not None
         self._server.close()
         await self._server.wait_closed()
@@ -524,11 +568,7 @@ class ReproServer:
         thread.join(timeout=timeout)
         if thread.is_alive():
             with self._state_lock:
-                busy = sum(
-                    1
-                    for job in self._jobs.values()
-                    if job.state not in TERMINAL_STATES
-                )
+                busy = len(self._active)
             raise RuntimeError(
                 f"server thread failed to stop within {timeout}s "
                 f"({busy} jobs still non-terminal on {self.address}); "
@@ -569,11 +609,7 @@ class ReproServer:
             # mark.  Retry-After is sized to the backlog, not a fixed
             # constant, so clients back off harder under deeper queues.
             if self.shed_inflight is not None:
-                backlog = sum(
-                    1
-                    for job in self._jobs.values()
-                    if job.state not in TERMINAL_STATES
-                )
+                backlog = len(self._active)
                 if backlog >= self.shed_inflight:
                     self._shed_submissions += 1
                     raise ServeError(
@@ -588,6 +624,7 @@ class ReproServer:
             )
             self._jobs[job.job_id] = job
             self._by_key[key] = job
+            self._active.add(job)
             self._submissions += 1
             executor = self._executor
         assert executor is not None, "server not started"
@@ -603,6 +640,7 @@ class ReproServer:
                     self._jobs.pop(job.job_id, None)
                     if self._by_key.get(key) is job:
                         del self._by_key[key]
+                    self._active.discard(job)
                     self._submissions -= 1
                 self._ledger.release(client)
                 raise ServeError(
@@ -640,15 +678,19 @@ class ReproServer:
                 # A cache hit streams no telemetry (the run happened in
                 # some earlier life); subscribers get the sentinel only.
                 job.from_cache = True
-                job.result_bytes = result_to_bytes(cached)
-                self._finish(job, protocol.DONE)
-                return
-            data = self._simulate(job)
-            if data is None:
-                return  # cancelled or over budget; _finish already ran
-            with self._cache_lock:
-                self._runner.cache_store_bytes(job.spec, data)
-            job.result_bytes = data
+                data = result_to_bytes(cached)
+                with self._cache_lock:
+                    # An entry another writer laid out differently is
+                    # rewritten, so a fetch can read the bytes back.
+                    if self._runner.cache_read_bytes(job.spec, len(data)) != data:
+                        self._runner.cache_store_bytes(job.spec, data)
+            else:
+                data = self._simulate(job)
+                if data is None:
+                    return  # cancelled or over budget; _finish already ran
+                with self._cache_lock:
+                    self._runner.cache_store_bytes(job.spec, data)
+            job.keep_result(data, self._runner)
             self._finish(job, protocol.DONE)
         except Exception as exc:
             if isinstance(exc, WorkerError):
@@ -773,6 +815,7 @@ class ReproServer:
             job.state = state
             job.error = error
             job.finished_at = time.time()
+            self._active.discard(job)
             if (
                 state in (protocol.FAILED, protocol.CANCELLED)
                 and self._by_key.get(job.key) is job
@@ -780,6 +823,12 @@ class ReproServer:
                 # Let a later submission of the same spec start afresh.
                 del self._by_key[job.key]
         self._ledger.release(job.client)
+        loop = self._loop
+        if loop is not None:
+            try:
+                loop.call_soon_threadsafe(job.finished.set)
+            except RuntimeError:
+                pass  # the loop is closed: nobody is left waiting
         # ``journal=False`` is for shutdown close-outs: a job cancelled
         # only because the daemon is exiting must stay journalled as
         # pending so the next life re-admits it.
@@ -803,7 +852,7 @@ class ReproServer:
             with self._state_lock:
                 expired = [
                     job
-                    for job in self._jobs.values()
+                    for job in self._active
                     if job.state == protocol.RUNNING
                     and job.lease_deadline is not None
                     and now >= job.lease_deadline
@@ -863,9 +912,7 @@ class ReproServer:
         deadline = self._loop.time() + grace_seconds
         while self._loop.time() < deadline:
             with self._state_lock:
-                busy = any(
-                    job.state not in TERMINAL_STATES for job in self._jobs.values()
-                )
+                busy = bool(self._active)
             if not busy:
                 break
             await asyncio.sleep(_TICK)
@@ -881,6 +928,9 @@ class ReproServer:
                     self._read_request(reader), _READ_TIMEOUT
                 )
             except (asyncio.TimeoutError, asyncio.IncompleteReadError, ConnectionError):
+                return
+            except ServeError as err:  # a malformed request
+                await self._send_json(writer, err.status, err.payload())
                 return
             if request is None:
                 return
@@ -911,7 +961,7 @@ class ReproServer:
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes] | None:
         fault_fire("http.read")
-        line = await reader.readline()
+        line = await _readline(reader)
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()
@@ -920,7 +970,7 @@ class ReproServer:
         method, target, _version = parts
         headers: dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await _readline(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, sep, value = raw.decode("latin-1").partition(":")
@@ -1035,14 +1085,15 @@ class ReproServer:
             raise ServeError(
                 "invalid_request", f"bad timeout: {query.get('timeout')!r}"
             ) from None
-        assert self._loop is not None
-        deadline = self._loop.time() + timeout
-        while job.state not in TERMINAL_STATES:
-            if not wait or self._loop.time() >= deadline:
-                raise ServeError(
-                    "not_ready", f"job {job.job_id} is {job.state}; retry or ?wait=1"
-                )
-            await asyncio.sleep(_TICK)
+        if wait and job.state not in TERMINAL_STATES:
+            try:
+                await asyncio.wait_for(job.finished.wait(), max(0.0, timeout))
+            except asyncio.TimeoutError:
+                pass
+        if job.state not in TERMINAL_STATES:
+            raise ServeError(
+                "not_ready", f"job {job.job_id} is {job.state}; retry or ?wait=1"
+            )
         if job.state == protocol.CANCELLED:
             raise ServeError("cancelled", f"job {job.job_id} was cancelled")
         if job.state == protocol.FAILED:
@@ -1052,12 +1103,17 @@ class ReproServer:
                 error.get("message", "simulation failed"),
                 error.get("field"),
             )
-        if _truthy(query.get("aggregates")):
-            assert self._loop is not None
-            body = await self._loop.run_in_executor(None, job.aggregates_bytes)
-        else:
-            assert job.result_bytes is not None
-            body = job.result_bytes
+        read = job.aggregates_bytes if _truthy(query.get("aggregates")) else job.read_result
+        assert self._loop is not None
+        try:
+            body = await self._loop.run_in_executor(None, read)
+        except ServeError:
+            # The result is lost: let the next submission of the spec
+            # run it afresh instead of attaching to this job.
+            with self._state_lock:
+                if self._by_key.get(job.key) is job:
+                    del self._by_key[job.key]
+            raise
         await self._send_bytes(writer, 200, body, "application/json")
 
     async def _handle_events(
@@ -1073,11 +1129,12 @@ class ReproServer:
         content_type = "text/event-stream" if sse else "application/x-ndjson"
 
         def frames(chunks: list[tuple[bytes, int]]) -> bytes:
-            ndjson = b"".join(zlib.decompress(chunk) for chunk, _ in chunks)
+            ndjson = b"".join(chunk_ndjson(chunk) for chunk, _ in chunks)
             if not sse:
                 return ndjson
             return b"".join(map(ndjson_to_sse, ndjson.splitlines(keepends=True)))
 
+        assert self._loop is not None
         await self._send_stream_head(writer, content_type)
         taken = sent = 0  # chunks and rows streamed so far
         while True:
@@ -1090,7 +1147,9 @@ class ReproServer:
             taken += len(chunks)
             sent += sum(rows for _, rows in chunks)
             if chunks:
-                writer.write(frames(chunks))
+                # Rendered off the loop: a finished job's 10k rows take
+                # tens of milliseconds.
+                writer.write(await self._loop.run_in_executor(None, frames, chunks))
             if terminal:
                 sentinel = {
                     "event": END_OF_STREAM,
@@ -1204,3 +1263,14 @@ class ReproServer:
 
 def _truthy(value: str | None) -> bool:
     return value is not None and value.lower() not in ("", "0", "false", "no")
+
+
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; a line over the stream's limit is malformed."""
+    try:
+        return await reader.readline()
+    except ValueError:  # asyncio's LimitOverrunError, re-raised by readline
+        raise ServeError(
+            "invalid_request", "request line or header longer than 64 KiB"
+        ) from None
+

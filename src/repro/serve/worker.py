@@ -22,11 +22,16 @@ core as ``Simulation.run()`` picks a lane, so a served run executes on
 the fused core whenever that covers the spec (the telemetry forwarder
 only observes); ``engine`` and ``fallback`` report the session's choice
 (:attr:`~repro.session.SimulationSession.engine`).  ``chunk`` holds the
-``rows`` telemetry rows recorded since the previous reply, encoded as
-NDJSON lines and zlib-compressed (10k rows are about 1 MB of NDJSON
-and under 200 kB compressed, and the daemon keeps every finished
-job's rows for replay); rows past the job's ``max_events`` are never
-encoded, only counted in the running total ``dropped``.
+``rows`` telemetry rows recorded since the previous reply: the list of
+their :func:`~repro.sim.events.event_values` pairs, ``marshal``-ed and
+zlib-compressed (level 1).  10k rows are about 300 kB marshalled and
+120 kB compressed, against 970 kB as NDJSON, and the daemon keeps
+every finished job's chunks for replay.  The format is internal: the
+daemon and its workers are one interpreter build, chunks cross only
+the pipe, which already carries pickles, and never touch disk.  A row
+becomes JSON only when a client reads the stream, through the one
+decoder :func:`chunk_ndjson`.  Rows past the job's ``max_events`` are
+never recorded, only counted in the running total ``dropped``.
 
 The only cross-thread operation is :meth:`SimulationWorker.kill`: a
 watchdog lease expiry or a daemon shutdown that lands mid-slice kills
@@ -58,6 +63,7 @@ even a SIGKILLed daemon leaves one behind.
 from __future__ import annotations
 
 import atexit
+import marshal
 import multiprocessing
 import os
 import signal
@@ -69,16 +75,25 @@ from multiprocessing.connection import Connection, wait
 from typing import Any
 
 from repro.analysis import sanitize
-from repro.api import Simulation
+from repro.api import Simulation, normalize_spec, workload_key
 from repro.experiments.config import RunSpec
 from repro.instruments import Instrument
+from repro.registry import WORKLOAD_SOURCES
 from repro.serialize import result_to_bytes
 from repro.serve.protocol import ndjson_line
 from repro.session import SimulationSession
-from repro.sim.events import LifecycleEvent, event_row
+from repro.sim.events import LifecycleEvent, event_values, row_from_values
 from repro.sim.lanes import ENGINE_ENV
+from repro.workloads.sources import WorkloadBundle, synthetic_source, synthetic_xl_source
 
-__all__ = ["JobSettings", "SimulationWorker", "WorkerError", "WorkerLost", "WorkerPool"]
+__all__ = [
+    "JobSettings",
+    "SimulationWorker",
+    "WorkerError",
+    "WorkerLost",
+    "WorkerPool",
+    "chunk_ndjson",
+]
 
 
 def _carried(key: str) -> bool:
@@ -117,12 +132,15 @@ class JobSettings:
 
 
 class _TelemetryForwarder(Instrument):
-    """Session instrument encoding lifecycle events as NDJSON lines.
+    """Session instrument recording lifecycle events for the daemon.
 
     Deliberately *not* registry-registered: it is server plumbing, not
     a user instrument, and its report is stripped from the result so
-    the served bytes match an un-instrumented in-process run.  Events
-    past ``max_events`` are counted, never encoded.
+    the served bytes match an un-instrumented in-process run.  It keeps
+    each event as its :func:`~repro.sim.events.event_values` pair; a
+    row becomes JSON only when a client reads the stream
+    (:func:`chunk_ndjson`).  Events past ``max_events`` are counted,
+    never recorded.
     """
 
     name = "_serve_telemetry"
@@ -131,20 +149,33 @@ class _TelemetryForwarder(Instrument):
     def __init__(self, max_events: int) -> None:
         super().__init__()
         self._room = max_events
-        self._lines: list[bytes] = []
+        self._rows: list[tuple[str, tuple[Any, ...]]] = []
         self.dropped = 0
 
     def on_event(self, event: LifecycleEvent) -> None:
         if self._room > 0:
             self._room -= 1
-            self._lines.append(ndjson_line(event_row(event)))
+            self._rows.append(event_values(event))
         else:
             self.dropped += 1
 
     def flush(self) -> tuple[bytes, int]:
         """The rows recorded since the previous flush: ``(chunk, rows)``."""
-        lines, self._lines = self._lines, []
-        return (zlib.compress(b"".join(lines), 1) if lines else b""), len(lines)
+        rows, self._rows = self._rows, []
+        return (zlib.compress(marshal.dumps(rows), 1) if rows else b""), len(rows)
+
+
+def chunk_ndjson(chunk: bytes) -> bytes:
+    """A telemetry chunk as the NDJSON lines of its rows.
+
+    The one decoder of :meth:`_TelemetryForwarder.flush`'s format: each
+    line is exactly ``ndjson_line(event_row(event))`` of the recorded
+    event.  Only this program's own workers write chunks (the same
+    interpreter, over the pipe that already carries pickles), and they
+    never touch disk.
+    """
+    rows = marshal.loads(zlib.decompress(chunk))
+    return b"".join([ndjson_line(row_from_values(tag, values)) for tag, values in rows])
 
 
 # -- worker side ------------------------------------------------------------------
@@ -166,22 +197,56 @@ def _exit_with_daemon() -> None:
     threading.Thread(target=watch, name="repro-serve-worker-watch", daemon=True).start()
 
 
+#: Workload sources whose bundle is a pure function of the spec's
+#: :func:`~repro.api.workload_key`, so a worker may reuse it.  An SWF
+#: file can change while the daemon runs, and another registered source
+#: need not be pure: those rebuild for every job.
+_PURE_SOURCES = (synthetic_source, synthetic_xl_source)
+#: Generated bundles a worker keeps.  Two, because each worker takes
+#: whichever job comes next, and a grid over two traces alternates them.
+_KEPT_BUNDLES = 2
+
+
 class _Runner:
-    """The worker's side of the protocol: at most one session at a time."""
+    """The worker's side of the protocol: at most one session at a time.
+
+    It keeps the :data:`_KEPT_BUNDLES` most recently used generated
+    workload bundles, so a run over a trace the worker generated for
+    an earlier job skips the generator.  A kept trace costs about 260
+    bytes per job (1.3 MB at 5k jobs, 52 MB at 200k), so an idle worker
+    holds at most the two traces it ran last, and a running one its own
+    trace plus one other.
+    """
 
     def __init__(self) -> None:
         self._session: SimulationSession | None = None
         self._forwarder = _TelemetryForwarder(0)
+        self._bundles: dict[tuple, WorkloadBundle] = {}  # least recently used first
 
     def _progress(self) -> tuple[Any, ...]:
         assert self._session is not None
         return ("ok", self._session.done, *self._forwarder.flush(), self._forwarder.dropped)
 
+    def _simulation(self, spec: RunSpec, validate: bool) -> Simulation:
+        """The job's simulation, over a kept bundle where one fits."""
+        spec = normalize_spec(spec)
+        source = WORKLOAD_SOURCES.get(spec.source)
+        if source not in _PURE_SOURCES:
+            return Simulation(spec, validate=validate)
+        key = workload_key(spec)
+        bundle = self._bundles.pop(key, None)
+        if bundle is None:
+            bundle = source(spec.workload, spec.n_jobs, spec.seed)
+        self._bundles[key] = bundle
+        while len(self._bundles) > _KEPT_BUNDLES:
+            del self._bundles[next(iter(self._bundles))]
+        return Simulation.from_bundle(spec, bundle, validate=validate)
+
     def start(self, spec: RunSpec, settings: JobSettings) -> tuple[Any, ...]:
-        self._session = None  # nothing survives from an earlier job
+        self._session = None  # no session survives from an earlier job
         settings.apply()
         self._forwarder = _TelemetryForwarder(settings.max_events)
-        self._session = Simulation(spec, validate=settings.validate).session(
+        self._session = self._simulation(spec, settings.validate).session(
             instruments=[self._forwarder]
         )
         return (*self._progress(), self._session.engine, self._session.fallback)

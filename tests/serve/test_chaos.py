@@ -143,7 +143,7 @@ class TestRestartOverSharedCacheDir:
             assert recovered.recovered is True
             wait_terminal(recovered, timeout=120.0)
             assert recovered.state == "done"
-            assert recovered.result_bytes == expected_bytes(LONG_SPEC)
+            assert recovered.read_result() == expected_bytes(LONG_SPEC)
             # The id counter resumed past the recovered id.
             fresh, _ = second.submit(SPEC)
             assert fresh.job_id > job.job_id
@@ -170,7 +170,7 @@ class TestRestartOverSharedCacheDir:
             wait_terminal(recovered)
             assert recovered.state == "done"
             assert recovered.from_cache is True
-            assert recovered.result_bytes == expected_bytes(SPEC)
+            assert recovered.read_result() == expected_bytes(SPEC)
             assert second.simulations_run == 0
 
     def test_unjournalable_submission_is_refused_and_leaks_nothing(self, tmp_path):
@@ -303,7 +303,7 @@ class TestGracefulDrain:
         server.request_drain(grace_seconds=120.0)
         assert server.wait(timeout=120.0), "drain did not stop the server"
         assert job.state == "done"
-        assert job.result_bytes == expected_bytes(LONG_SPEC)
+        assert job.read_result() == expected_bytes(LONG_SPEC)
         server.stop()
         # Drained-to-done work is journalled terminal: nothing pending.
         journal = RunJournal(tmp_path / "cache" / "serve-journal.jsonl")

@@ -1,11 +1,13 @@
 """Tests for the serve wire protocol: errors, states, telemetry rows."""
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
 from repro.api import Simulation
-from repro.experiments.config import InstrumentSpec, RunSpec
+from repro.cluster.power import SleepPolicy
+from repro.experiments.config import InstrumentSpec, PolicySpec, RunSpec
 from repro.serve.protocol import (
     END_OF_STREAM,
     ERROR_CODES,
@@ -18,7 +20,16 @@ from repro.serve.protocol import (
     ndjson_line,
     sse_line,
 )
-from repro.sim.events import JobFinished, JobStarted, event_row
+from repro.serve.worker import _TelemetryForwarder, chunk_ndjson
+from repro.sim.events import (
+    ClockTick,
+    JobFinished,
+    JobStarted,
+    LifecycleEvent,
+    event_row,
+    event_values,
+    row_from_values,
+)
 
 
 class TestErrorVocabulary:
@@ -110,6 +121,48 @@ class TestTelemetryRows:
         session._scheduler.attach_observer(lambda e: streamed.append(event_row(e)))
         session.result()
         assert streamed == recorded
+
+    def test_forwarder_chunks_decode_to_the_recorders_lines(self):
+        """The serve forwarder's compact chunks, cut at any slice
+        boundary, decode to exactly the NDJSON of the rows an
+        ``event_trace`` recording keeps, sleep events included."""
+        spec = RunSpec(
+            workload="CTC",
+            n_jobs=150,
+            seed=2,
+            policy=PolicySpec.power_aware(2.0, None),
+            sleep=SleepPolicy(sleep_after_seconds=600.0, wake_seconds=60.0),
+        )
+        recorded = (
+            Simulation(spec.with_instruments(InstrumentSpec.of("event_trace")))
+            .run()
+            .instrument("event_trace")["events"]
+        )
+        assert {"NodesSlept", "NodesWoke"} <= {row["event"] for row in recorded}
+        forwarder = _TelemetryForwarder(len(recorded))
+        session = Simulation(spec).session(instruments=[forwarder])
+        chunks = []
+        while not session.done:
+            session.run_for(37)
+            chunks.append(forwarder.flush())
+        session.result()
+        chunks.append(forwarder.flush())
+        assert sum(rows for _, rows in chunks) == len(recorded)
+        streamed = b"".join(chunk_ndjson(chunk) for chunk, rows in chunks if rows)
+        assert streamed == b"".join(map(ndjson_line, recorded))
+
+    def test_values_rebuild_the_row_of_a_class_not_seen_yet(self):
+        @dataclass(frozen=True, slots=True)
+        class PowerSampled(LifecycleEvent):
+            watts: float
+            meter: str
+
+        event = PowerSampled(3.0, 1500.0, "pdu-1")
+        assert row_from_values("PowerSampled", (3.0, 1500.0, "pdu-1")) == event_row(event)
+        assert event_values(event) == ("PowerSampled", (3.0, 1500.0, "pdu-1"))
+        assert row_from_values(*event_values(ClockTick(4.0))) == event_row(ClockTick(4.0))
+        with pytest.raises(KeyError):
+            row_from_values("NoSuchEvent", ())
 
     def test_rows_are_json_serialisable(self):
         row = event_row(JobFinished(2.0, 7, 4, 2.3, 50.0, 50.0, 55.0, 10.0, False))

@@ -9,13 +9,17 @@ telemetry, and the structured error schema.
 
 import http.client
 import json
+import logging
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.api import Simulation
 from repro.experiments.config import InstrumentSpec, PolicySpec, RunSpec
-from repro.serialize import result_to_dict, spec_key
+from repro.serialize import FORMAT_VERSION, result_to_dict, spec_key, spec_to_dict
+from repro.serve import server as server_module
 from repro.serve.client import ServeClient
 from repro.serve.protocol import END_OF_STREAM, ServeError
 from repro.serve.quotas import QuotaPolicy
@@ -132,6 +136,64 @@ class TestEndToEnd:
         assert info.value.code == "unavailable"
 
 
+class TestMalformedRequests:
+    """Every request the HTTP reader cannot parse gets the structured 400."""
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            pytest.param(b"GARBAGE\r\n\r\n", id="request-line"),
+            pytest.param(
+                b"POST /runs HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}",
+                id="content-length-not-an-integer",
+            ),
+            pytest.param(
+                b"POST /runs HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}",
+                id="content-length-negative",
+            ),
+            pytest.param(
+                b"GET /" + b"a" * (70 << 10) + b" HTTP/1.1\r\n\r\n",
+                id="request-line-over-the-stream-limit",
+            ),
+        ],
+    )
+    def test_answers_400_with_the_error_schema(self, server, request_bytes, caplog):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection((server.host, server.port), timeout=10) as sock:
+                sock.sendall(request_bytes)
+                sock.shutdown(socket.SHUT_WR)
+                reply = b""
+                while chunk := sock.recv(1 << 16):
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), reply[:200]
+            assert json.loads(body)["error"]["code"] == "invalid_request"
+            # The daemon still answers, and logged no unhandled exception.
+            assert ServeClient(server.address).health()["status"] == "ok"
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
+
+class TestResultWait:
+    def test_wait_wakes_on_completion_rather_than_a_poll(self, monkeypatch):
+        # A poll this slow would hold the fetch far past the run's end.
+        monkeypatch.setattr(server_module, "_TICK", 60.0)
+        with ReproServer() as server:
+            client = ServeClient(server.address)
+            job_id = client.submit(SPEC)["job_id"]
+            start = time.monotonic()
+            assert client.result_bytes(job_id) == expected_bytes(SPEC)
+            assert time.monotonic() - start < 30.0
+
+    def test_wait_times_out_as_not_ready(self):
+        with ReproServer(slice_events=1) as server:
+            client = ServeClient(server.address)
+            job_id = client.submit(LONG_SPEC)["job_id"]
+            with pytest.raises(ServeError) as info:
+                client.result_bytes(job_id, timeout=0.05)
+            assert info.value.code == "not_ready"
+            client.cancel(job_id)
+
+
 class TestSingleFlight:
     def test_concurrent_submissions_execute_exactly_once(self, server):
         """The acceptance criterion: N concurrent submitters of one
@@ -238,6 +300,71 @@ class TestCacheSharing:
             assert rows[0]["event"] == END_OF_STREAM
             assert rows[0]["state"] == "done"
             assert rows[0]["events"] == 0
+
+
+class TestResultsLiveInTheCache:
+    """With a cache dir, a finished job holds no result bytes: every
+    fetch reads them back from the job's cache entry."""
+
+    def test_no_done_job_holds_result_bytes(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        aggregates = canonical_result_bytes(
+            result_to_dict(Simulation(SPEC).run().to_aggregates())
+        )
+        for life in ("fresh", "cache hit"):
+            with ReproServer(cache_dir=cache) as server:
+                client = ServeClient(server.address)
+                job_id = client.submit(SPEC)["job_id"]
+                assert client.result_bytes(job_id) == expected_bytes(SPEC)
+                assert client.result_bytes(job_id) == expected_bytes(SPEC)
+                assert client.result_bytes(job_id, aggregates_only=True) == aggregates
+                dedup = client.submit(SPEC)
+                assert dedup["deduped"] is True and dedup["job_id"] == job_id
+                assert client.result_bytes(job_id) == expected_bytes(SPEC)
+                job = server._jobs[job_id]
+                assert job.from_cache is (life == "cache hit")
+                assert job.state == "done" and job.result_bytes is None
+                assert not server._active
+
+    def test_a_lost_entry_is_a_structured_error_and_the_spec_reruns(self, server, client, tmp_path):
+        job_id = client.submit(SPEC)["job_id"]
+        client.wait(job_id)
+        (tmp_path / "cache" / f"{spec_key(SPEC)}.json").unlink()
+        for aggregates_only in (False, True):
+            with pytest.raises(ServeError) as info:
+                client.result_bytes(job_id, aggregates_only=aggregates_only)
+            assert info.value.code == "server_error"
+            assert "cache entry" in info.value.message
+        again = client.submit(SPEC)
+        assert again["deduped"] is False and again["job_id"] != job_id
+        assert client.result_bytes(again["job_id"]) == expected_bytes(SPEC)
+        assert server.simulations_run == 2
+
+    def test_a_changed_entry_is_a_structured_error(self, server, client, tmp_path):
+        job_id = client.submit(SPEC)["job_id"]
+        client.wait(job_id)
+        entry = tmp_path / "cache" / f"{spec_key(SPEC)}.json"
+        entry.write_bytes(entry.read_bytes()[:-2] + b"}")  # one result byte short
+        with pytest.raises(ServeError) as info:
+            client.result_bytes(job_id)
+        assert info.value.code == "server_error"
+
+    def test_a_cache_hit_in_another_layout_is_served_canonically(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        document = {
+            "version": FORMAT_VERSION,
+            "spec": spec_to_dict(SPEC),
+            "result": result_to_dict(Simulation(SPEC).run()),
+        }
+        (cache / f"{spec_key(SPEC)}.json").write_text(json.dumps(document, indent=2))
+        with ReproServer(cache_dir=str(cache)) as server:
+            client = ServeClient(server.address)
+            job_id = client.submit(SPEC)["job_id"]
+            assert client.wait(job_id)["from_cache"] is True
+            assert client.result_bytes(job_id) == expected_bytes(SPEC)
+            assert server._jobs[job_id].result_bytes is None
+            assert server.simulations_run == 0
 
 
 class TestCancelAndBudget:

@@ -33,7 +33,10 @@ from repro.serve.client import ServeClient
 from repro.serve.protocol import END_OF_STREAM, TERMINAL_STATES, sse_line
 from repro.serve.quotas import QuotaPolicy
 from repro.serve.server import ReproServer, canonical_result_bytes
+from repro.serve.worker import JobSettings, _Runner
 from repro.sim.lanes import ENGINE_ENV
+from repro.workloads import sources as sources_module
+from repro.workloads.swf import write_swf
 
 SPEC = RunSpec(workload="SDSC", n_jobs=40, seed=5, policy=PolicySpec.power_aware(2.0, 4))
 #: Long enough (in 20-event slices) that two of them overlap on a
@@ -351,6 +354,22 @@ class TestTelemetry:
         assert rows == recorded_rows(SPEC)
         assert sentinel["events"] == len(rows)
 
+    def test_subscriber_attaching_mid_run_gets_the_recording(self):
+        spec = replace(SPEC, n_jobs=300)
+        with ReproServer(slice_events=3) as server:
+            job, _ = server.submit(spec)
+            wait_until(
+                lambda: job.events_recorded > 0 or job.state in TERMINAL_STATES,
+                60.0,
+                "the first telemetry chunk",
+            )
+            assert job.state == "running"
+            rows = list(ServeClient(server.address).stream_events(job.job_id))
+        sentinel = rows.pop()
+        assert sentinel["state"] == "done"
+        assert rows == recorded_rows(spec)
+        assert sentinel["events"] == len(rows)
+
     def test_truncated_stream_is_the_recordings_prefix(self):
         quota = QuotaPolicy(max_events=25)
         with ReproServer(slice_events=7, quota=quota) as server:
@@ -378,9 +397,79 @@ def _sse_frames(server: ReproServer, job_id: str) -> list[bytes]:
     return [frame + b"\n\n" for frame in body.split(b"\n\n") if frame]
 
 
+def _run(runner: _Runner, spec: RunSpec) -> bytes:
+    """One job through a worker's side of the protocol, in process."""
+    _, done, *_ = runner.start(spec, JobSettings.capture(False, 100))
+    while not done:
+        _, done, *_ = runner.slice(10**6)
+    _, data, *_ = runner.finish()
+    runner.drop()
+    return data
+
+
+class TestTraceReuse:
+    """A worker keeps its two most recently used generated traces."""
+
+    def test_runner_generates_each_kept_trace_once(self, monkeypatch):
+        ctc = replace(SPEC, workload="CTC")
+        sequence = [
+            SPEC,
+            ctc,
+            replace(SPEC, policy=PolicySpec.baseline()),
+            replace(ctc, size_factor=1.25),  # one trace serves every scale
+            replace(SPEC, seed=6),  # a third trace: evicts SDSC seed 5
+            replace(SPEC, policy=PolicySpec.power_aware(3.0, None)),
+        ]
+        expected = [expected_bytes(spec) for spec in sequence]
+        generated = []
+        real = sources_module.generate_workload
+
+        def counting(model, n_jobs, seed=None):
+            generated.append((model.name, seed))
+            return real(model, n_jobs, seed)
+
+        monkeypatch.setattr(sources_module, "generate_workload", counting)
+        runner = _Runner()
+        assert [_run(runner, spec) for spec in sequence] == expected
+        assert generated == [("SDSC", 5), ("CTC", 5), ("SDSC", 6), ("SDSC", 5)]
+
+    def test_one_worker_serves_alternating_traces_byte_identically(self):
+        sequence = [
+            SPEC,
+            replace(SPEC, workload="CTC"),
+            replace(SPEC, policy=PolicySpec.power_aware(1.5, 0)),
+        ]
+        with ReproServer(max_workers=1) as server:
+            client = ServeClient(server.address)
+            for spec in sequence:
+                job_id = client.submit(spec)["job_id"]
+                assert client.result_bytes(job_id) == expected_bytes(spec)
+            assert server.stats()["workers"]["started"] == 1
+            assert server.simulations_run == len(sequence)
+
+    def test_a_rewritten_swf_file_is_read_again(self, tmp_path):
+        path = tmp_path / "trace.swf"
+        spec = RunSpec(workload=str(path), source="swf", n_jobs=60, seed=1)
+        later = replace(spec, policy=PolicySpec.power_aware(2.0, 4))
+
+        def in_process(spec: RunSpec) -> bytes:
+            return canonical_result_bytes(result_to_dict(Simulation(spec).run()))
+
+        with ReproServer(max_workers=1) as server:
+            client = ServeClient(server.address)
+            write_swf(path, Simulation(replace(SPEC, n_jobs=60)).jobs, max_procs=128)
+            assert client.result_bytes(client.submit(spec)["job_id"]) == in_process(spec)
+            stale = in_process(later)
+            write_swf(path, Simulation(replace(SPEC, n_jobs=60, seed=9)).jobs, max_procs=128)
+            fresh = in_process(later)
+            assert fresh != stale
+            assert client.result_bytes(client.submit(later)["job_id"]) == fresh
+            assert server.stats()["workers"]["started"] == 1
+
+
 class TestJobSettings:
     def test_workload_cache_setting_travels_with_the_job(self, tmp_path, monkeypatch):
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", exc_type=ImportError)
         xl = RunSpec(workload="SDSC", n_jobs=300, seed=4, source="synthetic-xl")
         with ReproServer(max_workers=1) as server:
             # The worker (and the forkserver behind it) exist before the

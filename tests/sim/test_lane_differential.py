@@ -23,7 +23,7 @@ from repro.experiments.config import PolicySpec, RunSpec
 from repro.serialize import result_to_dict
 from tests.conftest import workload_strategy
 
-pytest.importorskip("numpy", reason="the columnar lane needs numpy")
+pytest.importorskip("numpy", reason="the columnar lane needs numpy", exc_type=ImportError)
 
 
 def canonical(result) -> str:

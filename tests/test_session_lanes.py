@@ -13,7 +13,6 @@ reference core mid-run, which must be invisible too.
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import replace
 
 import pytest
@@ -27,14 +26,14 @@ from repro.core.frequency_policy import FixedGearPolicy
 from repro.experiments.config import InstrumentSpec, PolicySpec, RunSpec
 from repro.instruments import Instrument, build_instruments
 from repro.serialize import result_to_dict
-from repro.serve.worker import JobSettings, _Runner, _TelemetryForwarder
+from repro.serve.worker import JobSettings, _Runner, _TelemetryForwarder, chunk_ndjson
 from repro.sim import columnar
 from repro.sim.columnar import fallback_reason
 from repro.sim.lanes import ENGINE_ENV
 from repro.scheduling.queue import JobQueue
 from tests.conftest import workload_strategy
 
-pytest.importorskip("numpy", reason="the fused core needs numpy")
+pytest.importorskip("numpy", reason="the fused core needs numpy", exc_type=ImportError)
 
 #: The core an unpinned, covered session runs on in this process: the
 #: sanitizer keeps every run on the reference core.
@@ -128,7 +127,7 @@ class Observed:
 
     @property
     def ndjson(self) -> bytes:
-        return b"".join(zlib.decompress(chunk) for chunk, rows in self.chunks if rows)
+        return b"".join(chunk_ndjson(chunk) for chunk, rows in self.chunks if rows)
 
     def view(self) -> tuple:
         reports = tuple(r for r in self.result.instruments if r.name != self.forwarder.name)
@@ -237,7 +236,7 @@ def test_served_20k_run_identical_across_lanes():
             chunks.append(telemetry)
         assert (lane, fallback) == (engine, None)
         assert compactions, "the run never compacted its wait queue"
-        ndjson = b"".join(zlib.decompress(chunk) for chunk, rows, _ in chunks if rows)
+        ndjson = b"".join(chunk_ndjson(chunk) for chunk, rows, _ in chunks if rows)
         served[engine] = (ndjson, chunks[-1][2], data)
     assert served["columnar"] == served["reference"]
     assert served["columnar"][1] > 0  # the stream outgrew max_events

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-np = pytest.importorskip("numpy")
+np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.workloads.cache import (
     cached_jobs,
