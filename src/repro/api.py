@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # imported for annotations only; avoids package cycles
     from repro.session import SimulationSession
     from repro.workloads.sources import WorkloadBundle
 
-__all__ = ["DEFAULT_N_JOBS", "Simulation", "normalize_spec", "run", "workload_key"]
+__all__ = ["DEFAULT_N_JOBS", "Simulation", "normalize_spec", "run"]
 
 #: Trace length used when a spec leaves ``n_jobs`` unset (the paper's §5).
 DEFAULT_N_JOBS = 5000
@@ -56,16 +56,6 @@ def normalize_spec(spec: RunSpec, default_n_jobs: int = DEFAULT_N_JOBS) -> RunSp
     if spec.n_jobs is None:
         return replace(spec, n_jobs=default_n_jobs)
     return spec
-
-
-def workload_key(spec: RunSpec) -> tuple:
-    """What a spec's workload bundle depends on: ``(source, workload, n_jobs, seed)``.
-
-    Specs with equal keys share one resolved bundle
-    (:meth:`Simulation.from_bundle`): a batch's sweep across workers,
-    and a serve worker across the jobs it runs.
-    """
-    return (spec.source, spec.workload, spec.n_jobs, spec.seed)
 
 
 def _scaled_machine(bundle: WorkloadBundle, size_factor: float) -> Machine:
@@ -116,8 +106,8 @@ class Simulation:
         """A Simulation over an already-resolved workload bundle.
 
         ``bundle`` must be what the spec's source yields for its
-        :func:`workload_key`; the machine is scaled by the spec's
-        ``size_factor`` here, so one bundle serves every scale.
+        workload, ``n_jobs`` and seed; the machine is scaled by the
+        spec's ``size_factor`` here, so one bundle serves every scale.
         """
         machine = _scaled_machine(bundle, spec.size_factor)
         return cls(spec, validate=validate, jobs=bundle.jobs, machine=machine)

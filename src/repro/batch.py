@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.api import Simulation, normalize_spec, workload_key
+from repro.api import Simulation, normalize_spec
 from repro.atomic import write_atomic
 from repro.faults import InjectedCrash, fire as fault_fire, torn_write as fault_torn_write
 from repro.registry import WORKLOAD_SOURCES
@@ -127,9 +127,13 @@ class BatchReport:
     cache_misses: int
 
 
+def _workload_key(spec: RunSpec) -> tuple:
+    return (spec.source, spec.workload, spec.n_jobs, spec.seed)
+
+
 def _build_simulation(spec: RunSpec, validate: bool) -> Simulation:
     """A Simulation over the shared bundle when one is available."""
-    bundle = _WORKLOAD_STORE.get(workload_key(spec))
+    bundle = _WORKLOAD_STORE.get(_workload_key(spec))
     if bundle is None:
         return Simulation(spec, validate=validate)
     return Simulation.from_bundle(spec, bundle, validate=validate)
@@ -633,7 +637,7 @@ class BatchRunner:
         _WORKLOAD_STORE.clear()
         broken: set[tuple] = set()
         for spec in pending:
-            key = workload_key(spec)
+            key = _workload_key(spec)
             if key in _WORKLOAD_STORE or key in broken:
                 continue
             try:

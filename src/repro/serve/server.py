@@ -28,12 +28,12 @@ than inheriting them.
 
 Memory splits three ways.  The daemon holds, per finished job, its
 telemetry (at most ``max_events`` rows in the worker's compact chunks,
-about 120 kB per 10k rows) and, only without a ``cache_dir``, its
+about 140 kB per 10k rows) and, only without a ``cache_dir``, its
 canonical result bytes: with one, the job's cache entry holds them and
 each fetch reads them back, so finished results do not accumulate in
 the daemon.  The forkserver holds one preloaded interpreter.  Each
 worker holds the one run it is executing and the two generated traces
-it used last (see :class:`~repro.serve.worker._Runner`).
+of at most 20k jobs it used last (see :class:`~repro.serve.worker._Runner`).
 
 Endpoints (all JSON; errors use the shared
 :mod:`~repro.serve.protocol` payload)::

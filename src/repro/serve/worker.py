@@ -23,10 +23,11 @@ the fused core whenever that covers the spec (the telemetry forwarder
 only observes); ``engine`` and ``fallback`` report the session's choice
 (:attr:`~repro.session.SimulationSession.engine`).  ``chunk`` holds the
 ``rows`` telemetry rows recorded since the previous reply: the list of
-their :func:`~repro.sim.events.event_values` pairs, ``marshal``-ed and
-zlib-compressed (level 1).  10k rows are about 300 kB marshalled and
-120 kB compressed, against 970 kB as NDJSON, and the daemon keeps
-every finished job's chunks for replay.  The format is internal: the
+their :func:`~repro.sim.events.event_row` dicts, ``marshal``-ed and
+zlib-compressed (level 1).  10k rows are about 520 kB marshalled (the
+field names are written once and referenced after) and 140 kB
+compressed, against 970 kB as NDJSON, and the daemon keeps every
+finished job's chunks for replay.  The format is internal: the
 daemon and its workers are one interpreter build, chunks cross only
 the pipe, which already carries pickles, and never touch disk.  A row
 becomes JSON only when a client reads the stream, through the one
@@ -63,6 +64,7 @@ even a SIGKILLed daemon leaves one behind.
 from __future__ import annotations
 
 import atexit
+import functools
 import marshal
 import multiprocessing
 import os
@@ -75,14 +77,14 @@ from multiprocessing.connection import Connection, wait
 from typing import Any
 
 from repro.analysis import sanitize
-from repro.api import Simulation, normalize_spec, workload_key
+from repro.api import Simulation, normalize_spec
 from repro.experiments.config import RunSpec
 from repro.instruments import Instrument
 from repro.registry import WORKLOAD_SOURCES
 from repro.serialize import result_to_bytes
 from repro.serve.protocol import ndjson_line
 from repro.session import SimulationSession
-from repro.sim.events import LifecycleEvent, event_values, row_from_values
+from repro.sim.events import LifecycleEvent, event_row
 from repro.sim.lanes import ENGINE_ENV
 from repro.workloads.sources import WorkloadBundle, synthetic_source, synthetic_xl_source
 
@@ -137,10 +139,9 @@ class _TelemetryForwarder(Instrument):
     Deliberately *not* registry-registered: it is server plumbing, not
     a user instrument, and its report is stripped from the result so
     the served bytes match an un-instrumented in-process run.  It keeps
-    each event as its :func:`~repro.sim.events.event_values` pair; a
-    row becomes JSON only when a client reads the stream
-    (:func:`chunk_ndjson`).  Events past ``max_events`` are counted,
-    never recorded.
+    each event's :func:`~repro.sim.events.event_row`; a row becomes
+    JSON only when a client reads the stream (:func:`chunk_ndjson`).
+    Events past ``max_events`` are counted, never recorded.
     """
 
     name = "_serve_telemetry"
@@ -149,13 +150,13 @@ class _TelemetryForwarder(Instrument):
     def __init__(self, max_events: int) -> None:
         super().__init__()
         self._room = max_events
-        self._rows: list[tuple[str, tuple[Any, ...]]] = []
+        self._rows: list[dict[str, Any]] = []
         self.dropped = 0
 
     def on_event(self, event: LifecycleEvent) -> None:
         if self._room > 0:
             self._room -= 1
-            self._rows.append(event_values(event))
+            self._rows.append(event_row(event))
         else:
             self.dropped += 1
 
@@ -174,8 +175,7 @@ def chunk_ndjson(chunk: bytes) -> bytes:
     interpreter, over the pipe that already carries pickles), and they
     never touch disk.
     """
-    rows = marshal.loads(zlib.decompress(chunk))
-    return b"".join([ndjson_line(row_from_values(tag, values)) for tag, values in rows])
+    return b"".join(map(ndjson_line, marshal.loads(zlib.decompress(chunk))))
 
 
 # -- worker side ------------------------------------------------------------------
@@ -197,31 +197,42 @@ def _exit_with_daemon() -> None:
     threading.Thread(target=watch, name="repro-serve-worker-watch", daemon=True).start()
 
 
-#: Workload sources whose bundle is a pure function of the spec's
-#: :func:`~repro.api.workload_key`, so a worker may reuse it.  An SWF
-#: file can change while the daemon runs, and another registered source
-#: need not be pure: those rebuild for every job.
+#: Workload sources whose bundle is a pure function of
+#: ``(workload, n_jobs, seed)``, so a worker may reuse it.  An SWF file
+#: can change while the daemon runs, and another registered source need
+#: not be pure: those rebuild for every job.
 _PURE_SOURCES = (synthetic_source, synthetic_xl_source)
-#: Generated bundles a worker keeps.  Two, because each worker takes
-#: whichever job comes next, and a grid over two traces alternates them.
-_KEPT_BUNDLES = 2
+#: The longest trace a worker keeps.  A kept trace holds about 260 bytes
+#: per job, and it stays resident while the worker runs another trace:
+#: over distinct traces of 20k jobs that raised a worker's peak RSS by
+#: 3% (86 -> 89 MiB), of 50k by 14% (132 -> 151 MiB) and of 200k by
+#: 16% (375 -> 434 MiB, plus 60 MiB held while idle).
+_KEPT_MAX_JOBS = 20_000
+
+
+def _generate(source: Any, workload: str, n_jobs: int, seed: int | None) -> WorkloadBundle:
+    return source(workload, n_jobs, seed)
 
 
 class _Runner:
     """The worker's side of the protocol: at most one session at a time.
 
-    It keeps the :data:`_KEPT_BUNDLES` most recently used generated
-    workload bundles, so a run over a trace the worker generated for
-    an earlier job skips the generator.  A kept trace costs about 260
-    bytes per job (1.3 MB at 5k jobs, 52 MB at 200k), so an idle worker
-    holds at most the two traces it ran last, and a running one its own
-    trace plus one other.
+    It keeps the two most recently used generated workload bundles of
+    at most :data:`_KEPT_MAX_JOBS` jobs, so a run over a trace the
+    worker generated for an earlier job skips the generator.  Two,
+    because each worker takes whichever job comes next, and a grid over
+    two traces alternates them.  A kept trace costs about 260 bytes per
+    job (1.3 MB at 5k jobs, 5.2 MB at 20k), so an idle worker holds at
+    most 10.4 MB of kept traces, and a running one at most one trace
+    besides its own.
     """
 
     def __init__(self) -> None:
         self._session: SimulationSession | None = None
         self._forwarder = _TelemetryForwarder(0)
-        self._bundles: dict[tuple, WorkloadBundle] = {}  # least recently used first
+        # Keyed on the source function itself, so a source registered
+        # over a pure one misses the kept bundles.
+        self._generated = functools.lru_cache(maxsize=2)(_generate)
 
     def _progress(self) -> tuple[Any, ...]:
         assert self._session is not None
@@ -231,15 +242,9 @@ class _Runner:
         """The job's simulation, over a kept bundle where one fits."""
         spec = normalize_spec(spec)
         source = WORKLOAD_SOURCES.get(spec.source)
-        if source not in _PURE_SOURCES:
+        if source not in _PURE_SOURCES or spec.n_jobs > _KEPT_MAX_JOBS:
             return Simulation(spec, validate=validate)
-        key = workload_key(spec)
-        bundle = self._bundles.pop(key, None)
-        if bundle is None:
-            bundle = source(spec.workload, spec.n_jobs, spec.seed)
-        self._bundles[key] = bundle
-        while len(self._bundles) > _KEPT_BUNDLES:
-            del self._bundles[next(iter(self._bundles))]
+        bundle = self._generated(source, spec.workload, spec.n_jobs, spec.seed)
         return Simulation.from_bundle(spec, bundle, validate=validate)
 
     def start(self, spec: RunSpec, settings: JobSettings) -> tuple[Any, ...]:
@@ -415,12 +420,17 @@ class WorkerPool:
         worker.close()
 
     def discard(self, worker: SimulationWorker) -> None:
-        """Reap a killed or crashed worker; the next job starts a fresh one."""
+        """Reap a killed or crashed worker; the next job starts a fresh one.
+
+        It counts as replaced once reaped, so ``replaced`` in
+        :meth:`stats` never names a process that is still exiting.
+        """
         with self._lock:
             self._live.discard(worker)
+        worker.close()
+        with self._lock:
             if not self._closed:
                 self._replaced += 1
-        worker.close()
 
     def close(self) -> None:
         """Reap the idle workers; busy ones are reaped as they come back.

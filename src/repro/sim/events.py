@@ -13,9 +13,7 @@ Two event vocabularies live here:
   dataclasses carrying plain scalars only, so an observer can hold,
   hash or serialise them but can never reach back into engine state.
   :func:`event_row` is their one JSON row encoding, shared by the
-  recorded trace and the serve daemon's telemetry stream;
-  :func:`event_values` is the same row without its field names, and
-  :func:`row_from_values` puts them back.
+  recorded trace and the serve daemon's telemetry stream.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from heapq import heappop, heappush
-from operator import attrgetter
-from typing import Any, Callable
+from typing import Any
 
 __all__ = [
     "EventKind",
@@ -40,8 +37,6 @@ __all__ = [
     "NodesSlept",
     "NodesWoke",
     "event_row",
-    "event_values",
-    "row_from_values",
 ]
 
 
@@ -384,43 +379,8 @@ class NodesWoke(LifecycleEvent):
     delay_seconds: float
 
 
-_Shape = tuple[str, tuple[str, ...], Callable[[Any], tuple[Any, ...]]]
-#: Per event class: its ``"event"`` tag, its field names in declaration
-#: order, and a getter returning those fields' values as one tuple.
-_ROW_SHAPES: dict[type[LifecycleEvent], _Shape] = {}
-#: Per ``"event"`` tag: the field names, for turning values back into a row.
-_TAG_FIELDS: dict[str, tuple[str, ...]] = {}
-
-
-def _shape(cls: type[LifecycleEvent]) -> _Shape:
-    shape = _ROW_SHAPES.get(cls)
-    if shape is None:
-        names = tuple(field.name for field in fields(cls))
-        many = attrgetter(*names)
-        getter: Callable[[Any], tuple[Any, ...]] = (
-            many if len(names) > 1 else lambda event: (many(event),)
-        )
-        shape = _ROW_SHAPES[cls] = (cls.__name__, names, getter)
-        _TAG_FIELDS.setdefault(cls.__name__, names)
-    return shape
-
-
-def event_values(event: LifecycleEvent) -> tuple[str, tuple[Any, ...]]:
-    """One lifecycle event as ``(tag, values)``: its :func:`event_row`, compact.
-
-    ``values`` are the dataclass fields in declaration order, so
-    :func:`row_from_values` rebuilds the exact row from the pair.  Plain
-    scalars only, as every lifecycle event carries, so the pair
-    marshals and round-trips exactly.
-    """
-    tag, _, getter = _shape(type(event))
-    return tag, getter(event)
-
-
-def _row(tag: str, names: tuple[str, ...], values: tuple[Any, ...]) -> dict[str, Any]:
-    row: dict[str, Any] = {"event": tag}
-    row.update(zip(names, values))
-    return row
+#: Per event class: its ``"event"`` tag and field names, in order.
+_ROW_SHAPES: dict[type[LifecycleEvent], tuple[str, tuple[str, ...]]] = {}
 
 
 def event_row(event: LifecycleEvent) -> dict[str, Any]:
@@ -428,28 +388,15 @@ def event_row(event: LifecycleEvent) -> dict[str, Any]:
 
     The class name under ``"event"``, then the dataclass fields in
     declaration order.  :class:`~repro.instruments.EventTraceRecorder`
-    records these rows and the serve daemon streams them (recorded in
-    its workers as :func:`event_values`, rebuilt by
-    :func:`row_from_values`), so a recorded trace and a streamed one are
-    interchangeable by construction.
+    records these rows and the serve daemon streams them, so a recorded
+    trace and a streamed one are interchangeable by construction.
     """
-    tag, names, getter = _shape(type(event))
-    return _row(tag, names, getter(event))
-
-
-def row_from_values(tag: str, values: tuple[Any, ...]) -> dict[str, Any]:
-    """The :func:`event_row` of the event whose :func:`event_values` are given.
-
-    The tag names the event class; a class this process has not seen
-    an event of yet is looked up among the lifecycle event classes
-    defined so far.  Raises :class:`KeyError` for an unknown tag.
-    """
-    names = _TAG_FIELDS.get(tag)
-    if names is None:
-        classes = [LifecycleEvent]
-        while classes:
-            cls = classes.pop()
-            classes.extend(cls.__subclasses__())
-            _shape(cls)
-        names = _TAG_FIELDS[tag]
-    return _row(tag, names, values)
+    shape = _ROW_SHAPES.get(type(event))
+    if shape is None:
+        names = tuple(field.name for field in fields(event))
+        shape = _ROW_SHAPES[type(event)] = (type(event).__name__, names)
+    tag, names = shape
+    row: dict[str, Any] = {"event": tag}
+    for name in names:
+        row[name] = getattr(event, name)
+    return row

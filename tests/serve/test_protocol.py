@@ -1,7 +1,6 @@
 """Tests for the serve wire protocol: errors, states, telemetry rows."""
 
 import json
-from dataclasses import dataclass
 
 import pytest
 
@@ -21,15 +20,7 @@ from repro.serve.protocol import (
     sse_line,
 )
 from repro.serve.worker import _TelemetryForwarder, chunk_ndjson
-from repro.sim.events import (
-    ClockTick,
-    JobFinished,
-    JobStarted,
-    LifecycleEvent,
-    event_row,
-    event_values,
-    row_from_values,
-)
+from repro.sim.events import JobFinished, JobStarted, event_row
 
 
 class TestErrorVocabulary:
@@ -150,19 +141,6 @@ class TestTelemetryRows:
         assert sum(rows for _, rows in chunks) == len(recorded)
         streamed = b"".join(chunk_ndjson(chunk) for chunk, rows in chunks if rows)
         assert streamed == b"".join(map(ndjson_line, recorded))
-
-    def test_values_rebuild_the_row_of_a_class_not_seen_yet(self):
-        @dataclass(frozen=True, slots=True)
-        class PowerSampled(LifecycleEvent):
-            watts: float
-            meter: str
-
-        event = PowerSampled(3.0, 1500.0, "pdu-1")
-        assert row_from_values("PowerSampled", (3.0, 1500.0, "pdu-1")) == event_row(event)
-        assert event_values(event) == ("PowerSampled", (3.0, 1500.0, "pdu-1"))
-        assert row_from_values(*event_values(ClockTick(4.0))) == event_row(ClockTick(4.0))
-        with pytest.raises(KeyError):
-            row_from_values("NoSuchEvent", ())
 
     def test_rows_are_json_serialisable(self):
         row = event_row(JobFinished(2.0, 7, 4, 2.3, 50.0, 50.0, 55.0, 10.0, False))

@@ -28,10 +28,12 @@ import pytest
 
 from repro.api import Simulation
 from repro.experiments.config import InstrumentSpec, PolicySpec, RunSpec
+from repro.faults import FaultPlan, FaultRule, injected
 from repro.serialize import result_to_dict
 from repro.serve.client import ServeClient
 from repro.serve.protocol import END_OF_STREAM, TERMINAL_STATES, sse_line
 from repro.serve.quotas import QuotaPolicy
+from repro.serve import worker as worker_module
 from repro.serve.server import ReproServer, canonical_result_bytes
 from repro.serve.worker import JobSettings, _Runner
 from repro.sim.lanes import ENGINE_ENV
@@ -246,10 +248,14 @@ class TestLeaseKill:
     def test_crashed_worker_fails_its_job_and_is_replaced(self):
         # A death the daemon did not cause: the run fails, and the dead
         # worker must not go back to the pool for the next job to hit.
-        with ReproServer(max_workers=1, slice_events=500) as server:
+        # The kill lands while the job's thread stalls before its second
+        # slice, so the run cannot finish first.
+        plan = FaultPlan.of(FaultRule("worker.slice", "delay", at=2, delay_seconds=1.0))
+        with injected(plan) as injector, ReproServer(max_workers=1, slice_events=500) as server:
             job, _ = server.submit(LONG_SPEC)
-            wait_until(lambda: worker_pid(job) is not None, 60.0, "a worker")
+            wait_until(lambda: injector.hits("worker.slice") >= 2, 60.0, "the stalled slice")
             pid = worker_pid(job)
+            assert pid is not None and job.state == "running"
             os.kill(pid, signal.SIGKILL)
             wait_terminal(job)
             assert job.state == "failed"
@@ -407,6 +413,19 @@ def _run(runner: _Runner, spec: RunSpec) -> bytes:
     return data
 
 
+def _count_generated(monkeypatch) -> list[tuple[str, int]]:
+    """The ``(workload, seed)`` of every trace generated from now on."""
+    generated = []
+    real = sources_module.generate_workload
+
+    def counting(model, n_jobs, seed=None):
+        generated.append((model.name, seed))
+        return real(model, n_jobs, seed)
+
+    monkeypatch.setattr(sources_module, "generate_workload", counting)
+    return generated
+
+
 class TestTraceReuse:
     """A worker keeps its two most recently used generated traces."""
 
@@ -421,17 +440,21 @@ class TestTraceReuse:
             replace(SPEC, policy=PolicySpec.power_aware(3.0, None)),
         ]
         expected = [expected_bytes(spec) for spec in sequence]
-        generated = []
-        real = sources_module.generate_workload
-
-        def counting(model, n_jobs, seed=None):
-            generated.append((model.name, seed))
-            return real(model, n_jobs, seed)
-
-        monkeypatch.setattr(sources_module, "generate_workload", counting)
+        generated = _count_generated(monkeypatch)
         runner = _Runner()
         assert [_run(runner, spec) for spec in sequence] == expected
         assert generated == [("SDSC", 5), ("CTC", 5), ("SDSC", 6), ("SDSC", 5)]
+
+    def test_runner_rebuilds_traces_longer_than_it_keeps(self, monkeypatch):
+        monkeypatch.setattr(worker_module, "_KEPT_MAX_JOBS", SPEC.n_jobs - 1)
+        later = replace(SPEC, policy=PolicySpec.baseline())
+        generated = _count_generated(monkeypatch)
+        runner = _Runner()
+        assert [_run(runner, spec) for spec in (SPEC, later)] == [
+            expected_bytes(SPEC),
+            expected_bytes(later),
+        ]
+        assert generated == [("SDSC", 5), ("SDSC", 5)]
 
     def test_one_worker_serves_alternating_traces_byte_identically(self):
         sequence = [
